@@ -17,6 +17,7 @@ after completion, so parallel output is byte-identical to serial output.
 from __future__ import annotations
 
 import configparser
+import csv
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -338,11 +339,25 @@ def _gradient_fn(env: Environment
 
 def _risk_fn(env: Environment, mc_risk: bool
              ) -> Callable[[np.ndarray], tuple[float, float]]:
-    """Return ``theta -> (excess risk, standard error)``."""
+    """Return ``theta -> (excess risk, standard error)``.
+
+    The Monte-Carlo scorer remembers its last two distinct ``theta`` and
+    reuses their results when scored again.  A step scores theta_hat then
+    theta_tilde, and theta_tilde often stays the same for many steps.
+    """
     if mc_risk:
+        recent: list[tuple[np.ndarray, tuple[float, float]]] = []
+
         def mc(theta: np.ndarray) -> tuple[float, float]:
+            for i, (seen, result) in enumerate(recent):
+                if np.array_equal(seen, theta):
+                    recent.append(recent.pop(i))
+                    return result
             est = true_excess_risk(theta, env)
-            return float(est), float(getattr(est, "se", 0.0))
+            result = float(est), float(getattr(est, "se", 0.0))
+            recent.append((np.array(theta, float), result))
+            del recent[:-2]
+            return result
         return mc
 
     exact = env.excess_risk_exact
@@ -532,13 +547,15 @@ def run_calibrate(config: ExperimentConfig) -> list[Path]:
                                 Y=config.cal_Y, delta=config.delta,
                                 budget=config.cal_budget,
                                 exponent_clamp=config.cal_clamp)
-        lines = [",".join(CALIBRATION_COLUMNS)]
-        for row in state.session_rows:
-            lines.append(f"{row.j},{row.grid_size},{row.best_candidate},"
-                         f"{format(row.meta_risk, '.12g')},"
-                         f"{format(row.best_risk, '.12g')}")
         path = outdir / f"calibration_seed{seed}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CALIBRATION_COLUMNS)
+            # Labels such as "d0=2,alpha=30,U=1,B=8" come out quoted.
+            writer.writerows((row.j, row.grid_size, row.best_candidate,
+                              format(row.meta_risk, ".12g"),
+                              format(row.best_risk, ".12g"))
+                             for row in state.session_rows)
         paths.append(path)
     config.to_ini(outdir / "config.ini")
     return paths

@@ -26,7 +26,10 @@ from saew.core import DenseVector, Environment
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Monte-Carlo holdouts are ~17 MB each at d ~ 20; keep only a few alive.
-_HOLDOUT_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+# An entry is (x, y, loss_star): the holdout plus the pinball losses of
+# theta_star on it, which every risk estimate subtracts.
+_HOLDOUT_CACHE: OrderedDict[
+    tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 _HOLDOUT_CACHE_MAX = 4
 _HOLDOUT_SIZE = 10 ** 5
 
@@ -347,30 +350,39 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
 # ============================================================
 
 def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed seeded holdout sample for Monte-Carlo risk estimates."""
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed seeded holdout of a quantile environment for Monte-Carlo risks.
+
+    Returns ``(x, y, loss_star)``; ``loss_star`` holds the pinball losses
+    ``u*(alpha_q - [u < 0])`` of ``theta_star`` at ``u = y - x.theta_star``.
+    The arrays are cached per environment config and are read-only.
+    """
+    if env.loss != "pinball":
+        raise ValueError(f"no Monte-Carlo holdout for {env.loss!r} loss")
     cfg = env.config
-    key = (cfg["loss"], cfg["d"], cfg["d0"], cfg["noise_sd"],
-           cfg.get("alpha_q"), cfg["seed"], n)
+    key = (cfg["d"], cfg["d0"], cfg["noise_sd"], cfg["alpha_q"],
+           cfg["seed"], n)
     if key in _HOLDOUT_CACHE:
         _HOLDOUT_CACHE.move_to_end(key)
         return _HOLDOUT_CACHE[key]
     seed = int(cfg["seed"])
     d = int(cfg["d"])
+    alpha_q = float(cfg["alpha_q"])
     rng_x = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     rng_e = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     x = rng_x.standard_normal((n, d))
     noise = float(cfg["noise_sd"]) * rng_e.standard_normal(n)
-    if env.loss == "pinball":
-        theta_base = env.theta_star_metrics[1:]
-        y = x @ theta_base + noise
-        x = np.hstack([np.ones((n, 1)), x])
-    else:
-        y = x @ env.theta_star_metrics + noise
-    _HOLDOUT_CACHE[key] = (x, y)
+    y = x @ env.theta_star_metrics[1:] + noise
+    x = np.hstack([np.ones((n, 1)), x])
+    u_star = y - x @ env.theta_star_metrics
+    loss_star = u_star * (alpha_q - (u_star < 0.0))
+    entry = (x, y, loss_star)
+    for array in entry:
+        array.flags.writeable = False
+    _HOLDOUT_CACHE[key] = entry
     while len(_HOLDOUT_CACHE) > _HOLDOUT_CACHE_MAX:
         _HOLDOUT_CACHE.popitem(last=False)
-    return x, y
+    return entry
 
 
 def true_excess_risk(theta: DenseVector, env: Environment
@@ -380,7 +392,9 @@ def true_excess_risk(theta: DenseVector, env: Environment
     Square environments have a closed form (``alpha * ||theta - theta*||^2``)
     and return a plain float.  The quantile environment returns a
     :class:`RiskEstimate` — a paired Monte-Carlo estimate over a fixed
-    seeded holdout of 10^5 samples, with its standard error.
+    seeded holdout of 10^5 samples, with its standard error.  The
+    holdout's ``theta_star`` losses are computed once (see :func:`_holdout`),
+    so a call costs one pass over the holdout.
     """
     theta = np.asarray(theta, float)
     if theta.shape != (env.dimension,):
@@ -388,12 +402,10 @@ def true_excess_risk(theta: DenseVector, env: Environment
                          f"expected ({env.dimension},)")
     if env.loss == "square":
         return env.excess_risk_exact(theta)
-    x, y = _holdout(env)
+    x, y, loss_star = _holdout(env)
     alpha_q = float(env.config["alpha_q"])
     u_theta = y - x @ theta
-    u_star = y - x @ env.theta_star_metrics
     loss_theta = u_theta * (alpha_q - (u_theta < 0.0))
-    loss_star = u_star * (alpha_q - (u_star < 0.0))
     diff = loss_theta - loss_star
     n = diff.shape[0]
     return RiskEstimate(value=float(diff.mean()),

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and CLI."""
 
+import csv
 import dataclasses
 import math
 import os
@@ -8,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import saew.harness
+from saew.baselines import rda_init, rda_predict, rda_step
+from saew.calibration import build_grid, run_calibration
 from saew.cli import main
-from saew.core import BASE_COLUMNS, RunRecord
+from saew.core import BASE_COLUMNS, L1Ball, ProblemParams, RunRecord
+from saew.engine import saew_estimators, saew_init, saew_step
 from saew.harness import (
     ConfigError,
     ExperimentConfig,
@@ -17,11 +22,14 @@ from saew.harness import (
     emit_plots,
     load_run_records,
     loglog_slope,
+    run_calibrate,
     run_experiment,
     run_one_seed,
     summarize,
     write_summary,
 )
+from saew.losses import pinball_subgrad, true_excess_risk
+from saew.subroutine import eg_init, eg_predict, eg_update
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -214,6 +222,75 @@ def test_quantile_mc_risk_reports_standard_errors(tmp_path):
     record = run_one_seed(cfg, 1)
     se_col = record.columns.index("risk_se")
     assert all(row[se_col] > 0.0 for row in record.rows)
+
+
+def _reference_mc_risks(cfg, seed):
+    """Per-step (risk_hat, risk_tilde, risk_se, cum_risk) of a quantile
+    ``mc_risk`` run, calling ``true_excess_risk`` on every estimate."""
+    env = build_environment(cfg, seed)
+    xs, ys = env.draw(cfg.T)
+
+    def grad(theta, x, y):
+        return pinball_subgrad(theta, x, y, cfg.alpha_q)
+
+    if cfg.algorithm == "saew":
+        state = saew_init(ProblemParams(d0=cfg.wrapper_d0(), alpha=cfg.alpha,
+                                        U=cfg.U, B=cfg.B, delta=cfg.delta),
+                          env.dimension)
+    elif cfg.algorithm == "eg":
+        state = eg_init(L1Ball(np.zeros(env.dimension), cfg.U), cfg.B)
+        average = np.zeros(env.dimension)
+    else:
+        state = rda_init(env.dimension, cfg.rda_gamma, rho=cfg.rda_rho,
+                         lam=cfg.rda_lambda)
+    rows, cum, tildes = [], 0.0, []
+    for t in range(cfg.T):
+        x, y = xs[t], float(ys[t])
+        if cfg.algorithm == "saew":
+            theta_hat = saew_estimators(state)[0]
+            saew_step(state, lambda theta: grad(theta, x, y))
+            theta_tilde = saew_estimators(state)[1]
+        elif cfg.algorithm == "eg":
+            theta_hat = eg_predict(state)
+            eg_update(state, grad(theta_hat, x, y))
+            average += (theta_hat - average) / (t + 1)
+            theta_tilde = average
+        else:
+            theta_hat = rda_predict(state)
+            rda_step(state, grad(theta_hat, x, y))
+            theta_tilde = rda_predict(state)
+        risk_hat = true_excess_risk(theta_hat, env).value
+        est = true_excess_risk(theta_tilde, env)
+        cum += max(risk_hat, 0.0)
+        rows.append((risk_hat, est.value, est.se, cum))
+        tildes.append(np.array(theta_tilde))
+    repeats = sum(np.array_equal(a, b) for a, b in zip(tildes, tildes[1:]))
+    return rows, repeats
+
+
+@pytest.mark.parametrize("algorithm", ["saew", "eg", "rda"])
+def test_mc_risk_columns_match_unmemoized_oracle(tmp_path, monkeypatch,
+                                                 algorithm):
+    cfg = _config(tmp_path, env="quantile", d=4, d0=2, alpha_q=0.8,
+                  mc_risk=True, algorithm=algorithm, T=50, seeds=(3,),
+                  U=2.0, rda_gamma=10.0)
+    reference, repeats = _reference_mc_risks(cfg, 3)
+    calls = []
+
+    def counting(theta, env):
+        calls.append(1)
+        return true_excess_risk(theta, env)
+
+    monkeypatch.setattr(saew.harness, "true_excess_risk", counting)
+    record = run_one_seed(cfg, 3)
+    cols = [record.columns.index(name)
+            for name in ("risk_hat", "risk_tilde", "risk_se", "cum_risk")]
+    got = [tuple(row[c] for c in cols) for row in record.rows]
+    assert got == reference
+    # An estimate equal to the one scored just before is not rescored.
+    assert len(calls) <= 2 * cfg.T - repeats
+    if algorithm == "saew":
+        assert repeats > 0
 
 
 def test_trace_columns_consistent_with_epsilon(tmp_path):
@@ -457,6 +534,36 @@ def test_cli_calibrate_happy_path_and_schema(tmp_path):
     lines = (Path(cfg.outdir) / "calibration_seed1.csv").read_text().splitlines()
     assert lines[0] == "j,grid_size,best_candidate,meta_risk,best_risk"
     assert len(lines) == 1 + 4  # sessions 0..3 close within T=16
+
+
+def test_calibration_csv_quotes_candidate_labels(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(env="square", d=2, d0=1, noise_sd=0.1,
+                           algorithm="calibrate", T=16, seeds=(1,),
+                           outdir=str(tmp_path / "cal"), cal_Y=2.0,
+                           cal_clamp_lo=-1, cal_clamp_hi=1)
+    # Short runs keep every candidate at the origin, so the null predictor
+    # wins each session; give the last row a real candidate's label.
+    label = next(e.label() for e in build_grid(1, 2, 2.0, (-1, 1)).entries
+                 if not e.is_null)
+    assert "," in label
+
+    def relabeled(*args, **kwargs):
+        state = run_calibration(*args, **kwargs)
+        state.session_rows[-1].best_candidate = label
+        return state
+
+    monkeypatch.setattr(saew.harness, "run_calibration", relabeled)
+    [path] = run_calibrate(cfg)
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["j", "grid_size", "best_candidate", "meta_risk",
+                      "best_risk"]
+    assert len(rows) == 4 and all(len(row) == 5 for row in rows)
+    assert [row[2] for row in rows] == ["null"] * 3 + [label]
+    # The risk fields stay last and unquoted.
+    last = path.read_text().splitlines()[-1]
+    assert last.startswith(f'3,{rows[-1][1]},"{label}",')
+    assert last.split(",")[-2:] == rows[-1][3:]
 
 
 def test_cli_calibrate_budget_exhaustion_exit_2(tmp_path, capsys):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import saew.losses
 from saew.bounds import gradient_bound_square
 from saew.core import excess_l2
 from saew.losses import (
     QuantileSpec,
+    _holdout,
     RiskEstimate,
     SquareLossSpec,
     gaussian_pinball_risk,
@@ -417,6 +419,44 @@ def test_true_excess_risk_deterministic():
     assert first == again
     rebuilt = make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=14)
     assert true_excess_risk(theta, rebuilt) == first
+
+
+def test_true_excess_risk_equals_paired_computation_from_scratch():
+    env = make_quantile_env(d=3, d0=1, alpha_q=0.7, noise_sd=0.3, seed=9)
+    x, y, _ = _holdout(env)
+
+    def pinball(u):
+        return u * (0.7 - (u < 0.0))
+
+    rng = np.random.default_rng(4)
+    for theta in (np.zeros(4), env.theta_star_metrics,
+                  env.theta_star_metrics + 0.2 * rng.standard_normal(4)):
+        diff = pinball(y - x @ theta) - pinball(y - x @ env.theta_star_metrics)
+        est = true_excess_risk(theta, env)
+        assert est.value == float(diff.mean())
+        assert est.se == float(diff.std(ddof=1) / math.sqrt(diff.shape[0]))
+
+
+def test_true_excess_risk_reuses_cached_star_losses(monkeypatch):
+    env = make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=15)
+    built = []
+
+    def recording(env):
+        built.append(_holdout(env))
+        return built[-1]
+
+    monkeypatch.setattr(saew.losses, "_holdout", recording)
+    true_excess_risk(np.zeros(4), env)
+    true_excess_risk(np.ones(4), env)
+    assert len(built) == 2
+    assert built[0][2] is built[1][2]
+    assert not built[0][2].flags.writeable
+
+
+def test_holdout_is_quantile_only():
+    env = make_square_env(d=3, d0=1, noise_sd=0.1, seed=1)
+    with pytest.raises(ValueError, match="square"):
+        _holdout(env)
 
 
 def test_true_excess_risk_shape_check():
