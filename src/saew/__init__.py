@@ -48,7 +48,6 @@ from saew.core import (
 )
 from saew.engine import (
     SaewState,
-    run_wrapper,
     saew_estimators,
     saew_init,
     saew_restore,
@@ -74,7 +73,7 @@ from saew.losses import (
     square_loss,
     true_excess_risk,
 )
-from saew.subroutine import EGState, RegretCertificate, eg_certificate, eg_init, eg_predict, eg_update
+from saew.subroutine import EGState, RegretCertificate, eg_certificate, eg_init
 
 __all__ = [
     "BALL_TOL",
@@ -104,8 +103,6 @@ __all__ = [
     "config_hash",
     "eg_certificate",
     "eg_init",
-    "eg_predict",
-    "eg_update",
     "emit_plots",
     "excess_l2",
     "grid_cost",
@@ -121,7 +118,6 @@ __all__ = [
     "run_calibration",
     "run_experiment",
     "run_one_seed",
-    "run_wrapper",
     "saew_estimators",
     "saew_init",
     "saew_restore",

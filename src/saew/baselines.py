@@ -32,7 +32,6 @@ class RdaState:
         lam: base l1 weight (>= 0).
         t: number of gradients observed.
         grad_sum: exact running sum of the observed gradients.
-        grad_mean: exact arithmetic mean (``grad_sum / t``; zeros at t=0).
         theta: current point (the prediction for the next step).
     """
 
@@ -42,7 +41,6 @@ class RdaState:
     lam: float
     t: int
     grad_sum: np.ndarray
-    grad_mean: np.ndarray
     theta: np.ndarray
 
 
@@ -62,8 +60,7 @@ def rda_init(d: int, gamma: float, rho: float = 0.0,
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be >= 0, got {lam}")
     return RdaState(dimension=d, gamma=gamma, rho=rho, lam=lam, t=0,
-                    grad_sum=np.zeros(d), grad_mean=np.zeros(d),
-                    theta=np.zeros(d))
+                    grad_sum=np.zeros(d), theta=np.zeros(d))
 
 
 def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
@@ -86,14 +83,13 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
     state.t += 1
     t = state.t
     state.grad_sum += gradient
-    state.grad_mean = state.grad_sum / t
+    grad_mean = state.grad_sum / t
     sqrt_t = np.sqrt(t)
     lam_t = state.lam + state.gamma * state.rho / sqrt_t
-    mag = np.abs(state.grad_mean)
+    mag = np.abs(grad_mean)
     shrunk = np.where(mag <= lam_t, 0.0,
                       -(sqrt_t / state.gamma)
-                      * (state.grad_mean
-                         - lam_t * np.sign(state.grad_mean)))
+                      * (grad_mean - lam_t * np.sign(grad_mean)))
     state.theta = shrunk
     return state
 

@@ -19,7 +19,6 @@ import math
 import warnings
 
 from saew.core import ProblemParams
-from saew.subroutine import RegretCertificate
 
 
 # ============================================================
@@ -56,55 +55,6 @@ def _loglog_horizon_term(T: float) -> float:
 # ============================================================
 # Domain types
 # ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class ConfidenceSchedule:
-    """Failure-probability split across sessions, plus the certificate.
-
-    Session ``i >= 1`` receives ``delta / (i+1)**2``; the sum over all
-    sessions stays below the base ``delta`` (the series sums to
-    ``delta * (pi^2/6 - 1) < delta``).
-    """
-
-    delta: float
-    cert: RegretCertificate
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _check_delta(self.delta))
-
-    def session_delta(self, i: int) -> float:
-        """Failure probability allotted to session ``i`` (``i >= 1``)."""
-        return delta_i(self.delta, i)
-
-
-@dataclasses.dataclass(frozen=True)
-class RiskConversionParams:
-    """Constants of the regret-to-risk conversion at horizon ``T``.
-
-    Attributes:
-        gamma_factor: the confidence factor
-            ``sqrt(log(1 + log(sqrt(T)/c)) - log(delta))`` with ``c``
-            fixed at ``sqrt(2)`` (the optimizing choice).
-        v_t: root of the cumulative squared gradient sup-norms.
-        c: the schedule constant, ``sqrt(2)``.
-        eta_schedule: human-readable description of the implied step sizes.
-    """
-
-    gamma_factor: float
-    v_t: float
-    c: float = math.sqrt(2.0)
-    eta_schedule: str = ("eta_t = min(1/(radius*B), "
-                         "sqrt(log)/(radius*sqrt(V2_t))), nonincreasing")
-
-    @classmethod
-    def for_horizon(cls, T: int, delta: float, v_t: float) -> "RiskConversionParams":
-        """Build the constants for horizon ``T`` and failure level ``delta``."""
-        _check_delta(delta)
-        if v_t < 0.0:
-            raise ValueError("v_t must be >= 0")
-        gamma = math.sqrt(_log_window_term(T) - math.log(delta))
-        return cls(gamma_factor=gamma, v_t=float(v_t))
-
 
 @dataclasses.dataclass(frozen=True)
 class Theorem3Bound:

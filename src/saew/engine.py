@@ -17,9 +17,8 @@ State snapshots serialize to a versioned JSON document (see
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +26,7 @@ from saew.bounds import a_prime, b_prime, delta_i, err_bound, radius_bound
 from saew.core import DenseVector, L1Ball, ProblemParams
 from saew.subroutine import EGState, RegretCertificate, eg_certificate, eg_init
 
-# Full recomputation period for the incremental session average.
-AVERAGE_RECOMPUTE_PERIOD = 2 ** 10
-
-SNAPSHOT_VERSION = "saew-state-v1"
+SNAPSHOT_VERSION = "saew-state-v2"
 
 GradientOracle = Callable[[DenseVector], DenseVector]
 
@@ -73,6 +69,9 @@ def truncate_top(v: DenseVector, d0: int) -> DenseVector:
 class SaewState:
     """Mutable state of the acceleration wrapper.
 
+    The session ball is ``optimizer.ball`` and the session's sum of
+    squared gradient sup-norms is ``optimizer.v2``.
+
     Attributes:
         params: problem constants (sparsity, strong convexity, ball radius,
             gradient bound, confidence level).
@@ -82,8 +81,8 @@ class SaewState:
         session_start: global step index at which the session began (the
             history's last entry).
         t: index of the NEXT step to execute (1-based; ``t - 1`` steps done).
-        optimizer: active subroutine instance for the current session.
-        grad_sq_sum: session-local sum of squared gradient sup-norms.
+        optimizer: active subroutine instance for the current session, in
+            the ball of radius exactly ``U * 2**(-i/2)``.
         err_t: latest session error budget.
         a_prime_t / b_prime_t: the inflated certificate constants behind
             ``err_t`` (diagnostics for traces).
@@ -91,11 +90,9 @@ class SaewState:
         eps_min: smallest confidence radius ever observed (includes the
             pre-loop value ``U``).
         eps_argmin: step index attaining ``eps_min`` (0 = pre-loop).
-        theta_bar: running average of the current session's predictions.
-        theta_bar_sum: exact running sum behind the periodic recomputation.
+        theta_bar_sum: sum of the current session's predictions; the
+            session average is this sum over the window length.
         theta_tilde: session average frozen at the eps-argmin step.
-        center: current session ball center.
-        radius: current session ball radius, exactly ``U * 2**(-i/2)``.
         session_starts: history of session start times ``t_i``.
     """
 
@@ -106,19 +103,20 @@ class SaewState:
     session_start: int
     t: int
     optimizer: EGState
-    grad_sq_sum: float
     err_t: float
     a_prime_t: float
     b_prime_t: float
     eps_t: float
     eps_min: float
     eps_argmin: int
-    theta_bar: np.ndarray
     theta_bar_sum: np.ndarray
     theta_tilde: np.ndarray
-    center: np.ndarray
-    radius: float
     session_starts: list[int]
+
+
+def _session_radius(params: ProblemParams, i: int) -> float:
+    """Ball radius of session ``i``: ``U * 2**(-i/2)``."""
+    return params.U * 2.0 ** (-i / 2.0)
 
 
 def saew_init(params: ProblemParams, d: int,
@@ -148,7 +146,6 @@ def saew_init(params: ProblemParams, d: int,
             UserWarning)
     if certificate is None:
         certificate = eg_certificate(d)
-    center = np.zeros(d)
     return SaewState(
         params=params,
         dimension=d,
@@ -156,38 +153,27 @@ def saew_init(params: ProblemParams, d: int,
         session=0,
         session_start=1,
         t=1,
-        optimizer=eg_init(L1Ball(center, params.U), params.B),
-        grad_sq_sum=0.0,
+        optimizer=eg_init(L1Ball(np.zeros(d), params.U), params.B),
         err_t=0.0,
         a_prime_t=0.0,
         b_prime_t=0.0,
         eps_t=params.U,
         eps_min=params.U,
         eps_argmin=0,
-        theta_bar=np.zeros(d),
         theta_bar_sum=np.zeros(d),
         theta_tilde=np.zeros(d),
-        center=center,
-        radius=params.U,
         session_starts=[1],
     )
 
 
-def _open_next_session(state: SaewState) -> None:
-    """Close the current session and start the next one at ``t_i = state.t``.
-
-    The new center is the hard truncation of the closing session's
-    prediction average (which ``state.theta_bar`` still holds; zero-length
-    sessions in a cascade reuse it unchanged).
-    """
-    p = state.params
+def _open_next_session(state: SaewState, center: DenseVector) -> None:
+    """Close the current session and start the next one at ``t_i = state.t``
+    in the ball around ``center``."""
     state.session += 1
     state.session_start = state.t
     state.session_starts.append(state.t)
-    state.center = truncate_top(state.theta_bar, p.d0)
-    state.radius = p.U * 2.0 ** (-state.session / 2.0)
-    state.optimizer = eg_init(L1Ball(state.center, state.radius), p.B)
-    state.grad_sq_sum = 0.0
+    ball = L1Ball(center, _session_radius(state.params, state.session))
+    state.optimizer = eg_init(ball, state.params.B)
     state.theta_bar_sum = np.zeros(state.dimension)
 
 
@@ -209,48 +195,38 @@ def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
     t_cur = state.t
     window = t_cur - state.session_start + 1
     theta_hat = state.optimizer.predict()
-    gradient = np.asarray(gradient_oracle(theta_hat), float)
-    if gradient.shape != (state.dimension,):
-        raise ValueError(f"gradient has shape {gradient.shape}, "
-                         f"expected ({state.dimension},)")
-    if not np.all(np.isfinite(gradient)):
-        raise ValueError("gradient must be finite")
-
-    state.optimizer.update(gradient)
-    linf = float(np.max(np.abs(gradient)))
-    state.grad_sq_sum += linf * linf
+    state.optimizer.update(gradient_oracle(theta_hat))
 
     # Error budget and confidence radius at the current window length.
     delta_session = delta_i(p.delta, state.session + 1)
     state.a_prime_t = a_prime(state.certificate.a, window, delta_session)
     state.b_prime_t = b_prime(state.certificate.b, window, delta_session)
-    state.err_t = err_bound(state.grad_sq_sum, state.a_prime_t,
+    state.err_t = err_bound(state.optimizer.v2, state.a_prime_t,
                             state.b_prime_t, p.B)
     state.eps_t = radius_bound(p.d0, p.U, state.session, p.alpha, window,
                                state.err_t)
 
-    # Session average: incremental, with a periodic exact recomputation.
     state.theta_bar_sum += theta_hat
-    if window % AVERAGE_RECOMPUTE_PERIOD == 0:
-        state.theta_bar = state.theta_bar_sum / window
-    else:
-        state.theta_bar += (theta_hat - state.theta_bar) / window
+    theta_bar = state.theta_bar_sum / window
 
     # Best estimator: average at the global eps-argmin (earliest tie kept).
     if state.eps_t < state.eps_min:
         state.eps_min = state.eps_t
         state.eps_argmin = t_cur
-        state.theta_tilde = state.theta_bar.copy()
+        state.theta_tilde = theta_bar
 
     state.t = t_cur + 1
 
-    if p.d0 == 0:
-        # Degenerate: eps_t is identically zero; close one session per step
-        # (an unbounded cascade would never terminate).
-        _open_next_session(state)
-    else:
-        while state.eps_t <= p.U * 2.0 ** (-(state.session + 1) / 2.0):
-            _open_next_session(state)
+    # Close while eps_t is at most the next session's radius; zero-length
+    # sessions in a cascade share the truncated average as their center.
+    # With d0 = 0, eps_t is identically zero: close one session per step
+    # (an unbounded cascade would never terminate).
+    if state.eps_t <= _session_radius(p, state.session + 1):
+        center = truncate_top(theta_bar, p.d0)
+        _open_next_session(state, center)
+        while (p.d0 > 0
+               and state.eps_t <= _session_radius(p, state.session + 1)):
+            _open_next_session(state, center)
     return state
 
 
@@ -258,7 +234,8 @@ def saew_estimators(state: SaewState) -> tuple[DenseVector, DenseVector]:
     """Return the next prediction point and the frozen best estimator.
 
     Before any step both are zero vectors (the initial ball is centered at
-    the origin and the best estimator starts there).
+    the origin and the best estimator starts there).  The prediction is
+    the subroutine's read-only array.
     """
     return state.optimizer.predict(), state.theta_tilde.copy()
 
@@ -284,18 +261,14 @@ def saew_snapshot(state: SaewState) -> dict:
         "session": state.session,
         "session_start": state.session_start,
         "t": state.t,
-        "grad_sq_sum": state.grad_sq_sum,
         "err_t": state.err_t,
         "a_prime_t": state.a_prime_t,
         "b_prime_t": state.b_prime_t,
         "eps_t": state.eps_t,
         "eps_min": state.eps_min,
         "eps_argmin": state.eps_argmin,
-        "theta_bar": state.theta_bar.tolist(),
         "theta_bar_sum": state.theta_bar_sum.tolist(),
         "theta_tilde": state.theta_tilde.tolist(),
-        "center": state.center.tolist(),
-        "radius": state.radius,
         "session_starts": list(state.session_starts),
         "optimizer": {
             "center": opt.ball.center.tolist(),
@@ -310,23 +283,49 @@ def saew_snapshot(state: SaewState) -> dict:
     }
 
 
+def _vector(values, name: str, length: int) -> np.ndarray:
+    v = np.array(values, float)
+    if v.shape != (length,):
+        raise ValueError(f"snapshot {name} has shape {v.shape}, "
+                         f"expected ({length},)")
+    return v
+
+
 def saew_restore(doc: dict) -> SaewState:
     """Rebuild a state from a snapshot document.
 
     Raises:
-        ValueError: unknown snapshot version or malformed document.
+        ValueError: unknown snapshot version, or a malformed or
+            inconsistent document (the message names the bad field).
     """
     version = doc.get("version")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version: {version!r} "
                          f"(expected {SNAPSHOT_VERSION!r})")
     params = ProblemParams(**doc["params"])
+    d = int(doc["dimension"])
+    session = int(doc["session"])
+    session_start, t = int(doc["session_start"]), int(doc["t"])
+    session_starts = [int(s) for s in doc["session_starts"]]
+    eps_min = float(doc["eps_min"])
     o = doc["optimizer"]
+    log_w = _vector(o["log_w"], "optimizer.log_w", 2 * d)
+    if not np.all(np.isfinite(log_w)):
+        raise ValueError("snapshot optimizer.log_w must be finite")
+    radius = float(o["radius"])
+    if radius != _session_radius(params, session):
+        raise ValueError(f"snapshot optimizer.radius {radius!r} is not "
+                         f"U*2**(-session/2) for session {session}")
+    if not (session_starts and session_starts[-1] == session_start <= t):
+        raise ValueError(f"snapshot session_start {session_start} must equal "
+                         f"session_starts[-1] and be <= t={t}")
+    if eps_min > params.U:
+        raise ValueError(f"snapshot eps_min {eps_min!r} exceeds U={params.U!r}")
     optimizer = EGState(
-        ball=L1Ball(np.array(o["center"], float), float(o["radius"])),
+        ball=L1Ball(_vector(o["center"], "optimizer.center", d), radius),
         B=float(o["B"]),
-        log_w=np.array(o["log_w"], float),
-        grad_sum=np.array(o["grad_sum"], float),
+        log_w=log_w,
+        grad_sum=_vector(o["grad_sum"], "optimizer.grad_sum", d),
         v2=float(o["v2"]),
         b_hat=float(o["b_hat"]),
         t=int(o["t"]),
@@ -334,42 +333,19 @@ def saew_restore(doc: dict) -> SaewState:
     cert = doc["certificate"]
     return SaewState(
         params=params,
-        dimension=int(doc["dimension"]),
+        dimension=d,
         certificate=RegretCertificate(float(cert["a"]), float(cert["b"])),
-        session=int(doc["session"]),
-        session_start=int(doc["session_start"]),
-        t=int(doc["t"]),
+        session=session,
+        session_start=session_start,
+        t=t,
         optimizer=optimizer,
-        grad_sq_sum=float(doc["grad_sq_sum"]),
         err_t=float(doc["err_t"]),
         a_prime_t=float(doc["a_prime_t"]),
         b_prime_t=float(doc["b_prime_t"]),
         eps_t=float(doc["eps_t"]),
-        eps_min=float(doc["eps_min"]),
+        eps_min=eps_min,
         eps_argmin=int(doc["eps_argmin"]),
-        theta_bar=np.array(doc["theta_bar"], float),
-        theta_bar_sum=np.array(doc["theta_bar_sum"], float),
-        theta_tilde=np.array(doc["theta_tilde"], float),
-        center=np.array(doc["center"], float),
-        radius=float(doc["radius"]),
-        session_starts=[int(s) for s in doc["session_starts"]],
+        theta_bar_sum=_vector(doc["theta_bar_sum"], "theta_bar_sum", d),
+        theta_tilde=_vector(doc["theta_tilde"], "theta_tilde", d),
+        session_starts=session_starts,
     )
-
-
-def run_wrapper(state: SaewState, oracles: Sequence[GradientOracle] | None = None,
-                steps: int | None = None,
-                gradient_oracle: GradientOracle | None = None) -> SaewState:
-    """Drive ``saew_step`` for several steps (testing convenience).
-
-    Either pass ``oracles`` (one per step) or a single ``gradient_oracle``
-    with ``steps``.
-    """
-    if oracles is not None:
-        for oracle in oracles:
-            saew_step(state, oracle)
-        return state
-    if gradient_oracle is None or steps is None:
-        raise ValueError("need either oracles or (gradient_oracle, steps)")
-    for _ in range(steps):
-        saew_step(state, gradient_oracle)
-    return state

@@ -45,7 +45,7 @@ from saew.losses import (
     square_grad,
     true_excess_risk,
 )
-from saew.subroutine import eg_init, eg_predict, eg_update
+from saew.subroutine import eg_init
 
 ENVIRONMENTS = ("square", "truncated_square", "quantile")
 ALGORITHMS = ("saew", "eg", "rda", "calibrate")
@@ -391,94 +391,76 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> RunRecord:
     if config.algorithm == "saew" and config.trace_bounds:
         columns = columns + TRACE_COLUMNS
 
-    if config.algorithm == "saew":
-        rows = _saew_rows(config, env, xs, ys, grad, risk_of, theta_star)
-    elif config.algorithm == "eg":
-        rows = _eg_rows(config, env, xs, ys, grad, risk_of, theta_star)
-    elif config.algorithm == "rda":
-        rows = _rda_rows(config, env, xs, ys, grad, risk_of, theta_star)
-    else:
-        raise ConfigError("algorithm",
-                          f"run_one_seed cannot run {config.algorithm!r}")
+    step = _learner(config, env.dimension)
+    rows = []
+    cum = 0.0
+    for t in range(config.T):
+        x, y = xs[t], float(ys[t])
+        theta_hat, theta_tilde, extra = step(lambda theta: grad(theta, x, y))
+        l2 = float(np.linalg.norm(theta_tilde - theta_star))
+        risk_hat, _ = risk_of(theta_hat)
+        risk_tilde, se = risk_of(theta_tilde)
+        # True excess risk is nonnegative; a Monte-Carlo estimate can dip
+        # below zero, so only the nonnegative part accumulates.
+        cum += max(risk_hat, 0.0)
+        # extra holds epsilon and session, then any trace columns; the
+        # standard error sits between them.
+        row = (float(t + 1), l2, risk_hat, risk_tilde, cum) + extra[:2]
+        if env.loss == "pinball":
+            row = row + (se,)
+        rows.append(row + extra[2:])
     record = RunRecord(columns=columns, rows=rows, seed=seed,
                        config_hash=hash_)
     record.validate()
     return record
 
 
-def _metrics(theta_hat, theta_tilde, theta_star, risk_of, cum_risk):
-    """Shared per-step metric block: (l2, risk_hat, risk_tilde, se, cum)."""
-    l2 = float(np.linalg.norm(theta_tilde - theta_star))
-    risk_hat, _ = risk_of(theta_hat)
-    risk_tilde, se = risk_of(theta_tilde)
-    # True excess risk is nonnegative; a Monte-Carlo estimate can dip
-    # below zero, so only the nonnegative part accumulates.
-    cum_risk += max(risk_hat, 0.0)
-    return l2, risk_hat, risk_tilde, se, cum_risk
+def _learner(config: ExperimentConfig, d: int) -> Callable:
+    """One step of the configured algorithm on a fresh state.
 
+    ``step(oracle)`` predicts ``theta_hat``, feeds it the oracle's
+    gradient there, and returns ``(theta_hat, theta_tilde, extra)``.
+    """
+    if config.algorithm == "saew":
+        params = ProblemParams(d0=config.wrapper_d0(), alpha=config.alpha,
+                               U=config.U, B=config.B, delta=config.delta)
+        state = saew_init(params, d)
+        d0 = max(params.d0, 1)
 
-def _saew_rows(config, env, xs, ys, grad, risk_of, theta_star):
-    params = ProblemParams(d0=config.wrapper_d0(), alpha=config.alpha,
-                           U=config.U, B=config.B, delta=config.delta)
-    state = saew_init(params, env.dimension)
-    d0 = max(params.d0, 1)
-    rows = []
-    cum = 0.0
-    for t in range(config.T):
-        x, y = xs[t], float(ys[t])
-        theta_hat = saew_estimators(state)[0]
-        saew_step(state, lambda theta: grad(theta, x, y))
-        theta_tilde = saew_estimators(state)[1]
-        l2, r_hat, r_tilde, se, cum = _metrics(theta_hat, theta_tilde,
-                                               theta_star, risk_of, cum)
-        row = (float(t + 1), l2, r_hat, r_tilde, cum,
-               state.eps_t, float(state.session))
-        if env.loss == "pinball":
-            row = row + (se,)
-        if config.trace_bounds:
-            row = row + (state.err_t, state.a_prime_t, state.b_prime_t,
-                         state.eps_t / (2.0 * math.sqrt(2.0 * d0)))
-        rows.append(row)
-    return rows
+        def step(oracle):
+            theta_hat = saew_estimators(state)[0]
+            saew_step(state, oracle)
+            extra = (state.eps_t, float(state.session))
+            if config.trace_bounds:
+                extra += (state.err_t, state.a_prime_t, state.b_prime_t,
+                          state.eps_t / (2.0 * math.sqrt(2.0 * d0)))
+            return theta_hat, saew_estimators(state)[1], extra
+        return step
 
+    if config.algorithm == "eg":
+        eg = eg_init(L1Ball(np.zeros(d), config.U), config.B)
+        average = np.zeros(d)
 
-def _eg_rows(config, env, xs, ys, grad, risk_of, theta_star):
-    ball = L1Ball(np.zeros(env.dimension), config.U)
-    state = eg_init(ball, config.B)
-    average = np.zeros(env.dimension)
-    rows = []
-    cum = 0.0
-    for t in range(config.T):
-        x, y = xs[t], float(ys[t])
-        theta_hat = eg_predict(state)
-        eg_update(state, grad(theta_hat, x, y))
-        average += (theta_hat - average) / (t + 1)
-        l2, r_hat, r_tilde, se, cum = _metrics(theta_hat, average,
-                                               theta_star, risk_of, cum)
-        row = (float(t + 1), l2, r_hat, r_tilde, cum, 0.0, 0.0)
-        if env.loss == "pinball":
-            row = row + (se,)
-        rows.append(row)
-    return rows
+        def step(oracle):
+            nonlocal average
+            theta_hat = eg.predict()
+            eg.update(oracle(theta_hat))
+            average += (theta_hat - average) / eg.t
+            return theta_hat, average, (0.0, 0.0)
+        return step
 
+    if config.algorithm == "rda":
+        rda = rda_init(d, config.rda_gamma, rho=config.rda_rho,
+                       lam=config.rda_lambda)
 
-def _rda_rows(config, env, xs, ys, grad, risk_of, theta_star):
-    state = rda_init(env.dimension, config.rda_gamma, rho=config.rda_rho,
-                     lam=config.rda_lambda)
-    rows = []
-    cum = 0.0
-    for t in range(config.T):
-        x, y = xs[t], float(ys[t])
-        theta_hat = rda_predict(state)
-        rda_step(state, grad(theta_hat, x, y))
-        theta_tilde = rda_predict(state)
-        l2, r_hat, r_tilde, se, cum = _metrics(theta_hat, theta_tilde,
-                                               theta_star, risk_of, cum)
-        row = (float(t + 1), l2, r_hat, r_tilde, cum, 0.0, 0.0)
-        if env.loss == "pinball":
-            row = row + (se,)
-        rows.append(row)
-    return rows
+        def step(oracle):
+            theta_hat = rda_predict(rda)
+            rda_step(rda, oracle(theta_hat))
+            return theta_hat, rda_predict(rda), (0.0, 0.0)
+        return step
+
+    raise ConfigError("algorithm",
+                      f"run_one_seed cannot run {config.algorithm!r}")
 
 
 # ============================================================

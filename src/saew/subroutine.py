@@ -10,9 +10,7 @@ for the nonnegative constants ``(a, b)`` it certifies.  The shipped
 implementation is an exponentiated-gradient forecaster that maintains
 exponential weights over the ball's ``2d`` corners
 (``center + radius*e_j`` and ``center - radius*e_j``) with a self-confident,
-anytime learning-rate schedule.  Any other optimizer matching
-:class:`BallOptimizer` and carrying its own :class:`RegretCertificate` can be
-substituted (e.g. an aggregation-based learner).
+anytime learning-rate schedule.
 
 Losses enter only through gradients (linearization), so the guarantee
 extends to arbitrary convex losses evaluated at the predictions.
@@ -23,15 +21,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Protocol
-
 import numpy as np
 
 from saew.core import DenseVector, L1Ball
 
 
 # ============================================================
-# Certificate and abstract interface
+# Certificate
 # ============================================================
 
 @dataclasses.dataclass(frozen=True)
@@ -51,18 +47,6 @@ class RegretCertificate:
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"certificate {name} must be finite and >= 0")
             object.__setattr__(self, name, value)
-
-
-class BallOptimizer(Protocol):
-    """Minimal interface the acceleration engine needs from a subroutine."""
-
-    def predict(self) -> DenseVector:
-        """Return the next prediction; always inside the optimizer's ball."""
-        ...
-
-    def update(self, gradient: DenseVector) -> "BallOptimizer":
-        """Consume the loss gradient at the last prediction."""
-        ...
 
 
 # ============================================================
@@ -87,6 +71,9 @@ class EGState:
         v2: running sum of squared sup-norms of observed gradients.
         b_hat: running max of observed gradient sup-norms.
         t: number of ``update`` calls observed.
+
+    The prediction is computed at construction and after each weight
+    change, and :meth:`predict` returns it.
     """
 
     ball: L1Ball
@@ -96,10 +83,12 @@ class EGState:
     v2: float = 0.0
     b_hat: float = 0.0
     t: int = 0
+    _prediction: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.grad_sum is None:
             self.grad_sum = np.zeros(self.ball.dimension)
+        self._refresh_prediction()
 
     # ---- derived views -------------------------------------------------
 
@@ -112,18 +101,25 @@ class EGState:
     # ---- behavior -------------------------------------------------------
 
     def predict(self) -> DenseVector:
-        """Return the weight-convex combination of ball corners.
+        """Return the weight-convex combination of ball corners (read-only).
 
         By construction the output's l1 distance to the center is at most
         the radius, so it always lies in the ball.
         """
+        return self._prediction
+
+    def _refresh_prediction(self) -> None:
+        # A new array each time: callers may still hold the previous one.
         center, radius = self.ball.center, self.ball.radius
         if radius == 0.0:
-            return center.copy()
-        d = self.ball.dimension
-        w = np.exp(self.log_w - np.max(self.log_w))
-        scale = radius / w.sum()
-        return center + scale * (w[:d] - w[d:])
+            prediction = center.copy()
+        else:
+            d = self.ball.dimension
+            w = np.exp(self.log_w - np.max(self.log_w))
+            scale = radius / w.sum()
+            prediction = center + scale * (w[:d] - w[d:])
+        prediction.setflags(write=False)
+        self._prediction = prediction
 
     def update(self, gradient: DenseVector) -> "EGState":
         """Fold one gradient into the corner weights (in place).
@@ -173,6 +169,7 @@ class EGState:
             self.log_w[:d] = -step
             self.log_w[d:] = step
             self.log_w -= np.max(self.log_w)
+            self._refresh_prediction()
         return self
 
 
@@ -190,16 +187,6 @@ def eg_init(ball: L1Ball, B: float) -> EGState:
     if not np.isfinite(B) or B <= 0.0:
         raise ValueError(f"B must be finite and > 0, got {B!r}")
     return EGState(ball=ball, B=B, log_w=np.zeros(2 * ball.dimension))
-
-
-def eg_predict(state: EGState) -> DenseVector:
-    """Return the forecaster's next prediction (see :meth:`EGState.predict`)."""
-    return state.predict()
-
-
-def eg_update(state: EGState, gradient: DenseVector) -> EGState:
-    """Fold one gradient into ``state`` (see :meth:`EGState.update`)."""
-    return state.update(gradient)
 
 
 def eg_certificate(d: int) -> RegretCertificate:

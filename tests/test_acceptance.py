@@ -41,7 +41,7 @@ from saew.losses import (
     square_loss,
     truncated_normal_variance,
 )
-from saew.subroutine import eg_certificate, eg_init, eg_predict, eg_update
+from saew.subroutine import eg_certificate, eg_init
 
 # The wrapper's warn-and-continue path fires RuntimeWarnings whenever a
 # gradient exceeds the declared sup-norm bound; several replicas below run
@@ -79,7 +79,7 @@ def _linearized_regret(ball: L1Ball, B: float, grads=None, T: int = 1000):
     gss = 0.0
     n = T if grads is None else len(grads)
     for t in range(n):
-        theta = eg_predict(state)
+        theta = state.predict()
         if grads is None:
             off = theta - ball.center
             k = int(np.argmax(np.abs(off)))
@@ -92,7 +92,7 @@ def _linearized_regret(ball: L1Ball, B: float, grads=None, T: int = 1000):
         sup = float(np.max(np.abs(g)))
         gss += sup * sup
         grad_total += g
-        state = eg_update(state, g)
+        state = state.update(g)
     best_corner = float(ball.center @ grad_total) \
         - ball.radius * float(np.max(np.abs(grad_total)))
     return cum - best_corner, gss
@@ -183,7 +183,7 @@ def square_replicas():
         prev_session = 0
         for t in range(_REPLICA_T):
             theta_hat = saew_estimators(state)[0]
-            ball = L1Ball(state.center, state.radius)
+            ball = state.optimizer.ball
             if not ball_contains(ball, theta_hat):
                 rec["ball_bad"] += 1
             if float(np.sum(np.abs(theta_hat))) > 2.0 * params.U + 1e-9:
@@ -199,7 +199,8 @@ def square_replicas():
             if state.session != prev_session:
                 # A cascade of closes shares one truncated center; the
                 # event must hold at every session index it opened.
-                dist = float(np.sum(np.abs(state.center - theta_star)))
+                center = state.optimizer.ball.center
+                dist = float(np.sum(np.abs(center - theta_star)))
                 for i in range(prev_session + 1, state.session + 1):
                     if dist > params.U * 2.0 ** (-i / 2.0):
                         rec["event_ok"] = False
@@ -306,10 +307,10 @@ def test_acceleration_beats_subroutine():
         for t in range(T):
             x, y = xs[t], ys[t]
             cum_s += env.excess_risk_exact(saew_estimators(state)[0])
-            theta_eg = eg_predict(eg_state)
+            theta_eg = eg_state.predict()
             cum_e += env.excess_risk_exact(theta_eg)
             saew_step(state, lambda th: square_grad(th, x, y))
-            eg_state = eg_update(eg_state, square_grad(theta_eg, x, y))
+            eg_state = eg_state.update(square_grad(theta_eg, x, y))
             cums_saew[seed, t] = cum_s
             cums_eg[seed, t] = cum_e
     med_saew = np.median(cums_saew, axis=0)

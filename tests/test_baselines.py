@@ -17,7 +17,7 @@ from saew.baselines import (
 def test_init_at_origin():
     state = rda_init(d=3, gamma=1.0, rho=0.5, lam=0.1)
     np.testing.assert_array_equal(state.theta, np.zeros(3))
-    np.testing.assert_array_equal(state.grad_mean, np.zeros(3))
+    np.testing.assert_array_equal(state.grad_sum, np.zeros(3))
     assert state.t == 0
     np.testing.assert_array_equal(rda_predict(state), np.zeros(3))
 
@@ -65,7 +65,8 @@ def test_gradient_mean_is_exact():
     for g in grads:
         rda_step(state, g)
         total += g
-        np.testing.assert_array_equal(state.grad_mean, total / state.t)
+        np.testing.assert_array_equal(state.grad_sum / state.t,
+                                      total / state.t)
 
 
 def test_soft_threshold_coordinates_exactly_zero():
@@ -76,12 +77,12 @@ def test_soft_threshold_coordinates_exactly_zero():
     for _ in range(50):
         rda_step(state, rng.normal(scale=0.5, size=6))
         lam_t = state.lam + state.gamma * state.rho / math.sqrt(state.t)
-        inside = np.abs(state.grad_mean) <= lam_t
+        grad_mean = state.grad_sum / state.t
+        inside = np.abs(grad_mean) <= lam_t
         assert np.all(state.theta[inside] == 0.0)
         outside = ~inside
         expected = -(math.sqrt(state.t) / state.gamma) * (
-            state.grad_mean[outside]
-            - lam_t * np.sign(state.grad_mean[outside]))
+            grad_mean[outside] - lam_t * np.sign(grad_mean[outside]))
         np.testing.assert_allclose(state.theta[outside], expected, rtol=1e-12)
 
 

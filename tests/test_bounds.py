@@ -11,8 +11,6 @@ import pytest
 
 from saew.core import ProblemParams
 from saew.bounds import (
-    ConfidenceSchedule,
-    RiskConversionParams,
     Theorem3Bound,
     a_prime,
     b_prime,
@@ -38,7 +36,7 @@ REL = 1e-9
 
 
 # ============================================================
-# delta_i / ConfidenceSchedule
+# delta_i
 # ============================================================
 
 def test_delta_i_values():
@@ -65,13 +63,6 @@ def test_delta_i_rejects_bad_inputs():
         delta_i(1.0, 1)
     with pytest.raises(ValueError):
         delta_i(0.1, 0)
-
-
-def test_confidence_schedule():
-    sched = ConfidenceSchedule(delta=0.1, cert=RegretCertificate(1.0, 2.0))
-    assert sched.session_delta(1) == pytest.approx(0.025, rel=REL)
-    with pytest.raises(ValueError):
-        ConfidenceSchedule(delta=1.5, cert=RegretCertificate(1.0, 2.0))
 
 
 # ============================================================
@@ -434,12 +425,3 @@ def test_bounds_deterministic():
     params, cert = _params(), RegretCertificate(1.3, 0.7)
     assert theorem1_bound(params, cert, 123) == theorem1_bound(params, cert, 123)
     assert a_prime(0.2, 17, 0.03) == a_prime(0.2, 17, 0.03)
-
-
-def test_risk_conversion_params():
-    rcp = RiskConversionParams.for_horizon(T=100, delta=0.05, v_t=3.0)
-    assert rcp.gamma_factor > 0.0
-    assert rcp.c == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    # Gamma matches the additive constant path: sqrt(log(1+log(T/2)/2)-log d).
-    expected = math.sqrt(math.log(1.0 + 0.5 * math.log(50.0)) - math.log(0.05))
-    assert rcp.gamma_factor == pytest.approx(expected, rel=REL)

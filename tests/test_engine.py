@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -54,30 +55,31 @@ def _zero_oracle(theta):
 def _run_recording(state, oracles):
     """Run steps, recording per-step diagnostics for invariant checks."""
     rows = []
-    centers = {0: state.center.copy()}
+    centers = {0: state.optimizer.ball.center}
     for oracle in oracles:
         pred = state.optimizer.predict()
         session_before = state.session
-        center_before = state.center.copy()
-        radius_before = state.radius
+        ball_before = state.optimizer.ball
         start_before = state.session_start
+        sum_before = state.theta_bar_sum.copy()
+        window = state.t - state.session_start + 1
         saew_step(state, oracle)
         rows.append({
             "pred": pred,
             "session": session_before,
-            "center": center_before,
-            "radius": radius_before,
+            "center": ball_before.center,
+            "radius": ball_before.radius,
             "session_start": start_before,
             "eps": state.eps_t,
             "err": state.err_t,
-            "theta_bar": state.theta_bar.copy(),
+            # The session average this step, as the engine computes it.
+            "theta_bar": (sum_before + pred) / window,
             "theta_tilde": state.theta_tilde.copy(),
             "eps_min": state.eps_min,
-            "grad_sq_sum_after": state.grad_sq_sum,
         })
         for s in range(session_before + 1, state.session + 1):
             if s not in centers:
-                centers[s] = state.center.copy()
+                centers[s] = state.optimizer.ball.center
     return rows, centers
 
 
@@ -156,8 +158,8 @@ def test_truncate_top_idempotent():
 def test_init_session_zero_ball():
     params = ProblemParams(d0=1, alpha=1.0, U=2.5, B=1.0, delta=0.1)
     state = saew_init(params, d=3)
-    np.testing.assert_array_equal(state.center, np.zeros(3))
-    assert state.radius == 2.5
+    np.testing.assert_array_equal(state.optimizer.ball.center, np.zeros(3))
+    assert state.optimizer.ball.radius == 2.5
     assert state.session == 0
     assert state.t == 1 and state.session_start == 1
     assert state.session_starts == [1]
@@ -204,7 +206,7 @@ def test_first_step_budget_and_radius_cross_consistency():
     assert state.err_t == err
     assert state.eps_t == radius_bound(1, 1.0, 0, 2.0, 1, err)
     assert state.t == 2
-    assert state.grad_sq_sum == pytest.approx(0.64)
+    assert state.optimizer.v2 == pytest.approx(0.64)
 
 
 def test_step_rejects_bad_gradients():
@@ -215,7 +217,7 @@ def test_step_rejects_bad_gradients():
     with pytest.raises(ValueError, match="shape"):
         saew_step(state, lambda theta: np.zeros(3))
     # Failed steps leave the clock untouched.
-    assert state.t == 1 and state.grad_sq_sum == 0.0
+    assert state.t == 1 and state.optimizer.v2 == 0.0
 
 
 def test_oracle_receives_current_prediction():
@@ -238,8 +240,11 @@ def test_single_step_estimators_equal_first_prediction():
     params = ProblemParams(d0=1, alpha=1e6, U=1.0, B=0.5, delta=0.1)
     state = saew_init(params, d=2)
     first_pred = state.optimizer.predict()
+    sum_before = state.theta_bar_sum.copy()
+    window = state.t - state.session_start + 1
     saew_step(state, lambda theta: np.array([0.1, -0.2]))
-    np.testing.assert_array_equal(state.theta_bar, first_pred)
+    np.testing.assert_array_equal((sum_before + first_pred) / window,
+                                  first_pred)
     assert state.eps_t < 1.0  # huge alpha forces an immediate drop
     np.testing.assert_array_equal(state.theta_tilde, first_pred)
     assert state.eps_argmin == 1
@@ -286,14 +291,15 @@ def test_zero_gradient_predictions_stay_at_origin():
         np.testing.assert_array_equal(theta_hat, np.zeros(3))
         np.testing.assert_array_equal(theta_tilde, np.zeros(3))
         saew_step(state, _zero_oracle)
-    np.testing.assert_array_equal(state.center, np.zeros(3))
+    np.testing.assert_array_equal(state.optimizer.ball.center, np.zeros(3))
 
 
 def test_session_radius_bookkeeping_exact():
     state = saew_init(FAST_PARAMS, d=2, certificate=RegretCertificate(0.0, 1.0))
     for _ in range(300):
         saew_step(state, _zero_oracle)
-        assert state.radius == FAST_PARAMS.U * 2.0 ** (-state.session / 2.0)
+        assert (state.optimizer.ball.radius
+                == FAST_PARAMS.U * 2.0 ** (-state.session / 2.0))
     assert len(state.session_starts) == state.session + 1
 
 
@@ -334,7 +340,8 @@ def test_cascade_opens_zero_length_sessions():
     saew_step(state, lambda theta: np.array([0.2, 0.1]))
     assert state.session >= 2  # at least one zero-length session
     assert state.session_starts[1:] == [2] * state.session
-    assert state.radius == params.U * 2.0 ** (-state.session / 2.0)
+    assert state.optimizer.ball.radius == \
+        params.U * 2.0 ** (-state.session / 2.0)
     assert state.eps_t > params.U * 2.0 ** (-(state.session + 1) / 2.0)
 
 
@@ -488,12 +495,12 @@ def test_induction_event_coverage():
                                         x_bound=1.5)
         params = ProblemParams(d0=1, alpha=8.0, U=1.0, B=4.0, delta=0.05)
         state = saew_init(params, d=5)
-        centers = {0: state.center.copy()}
+        centers = {0: state.optimizer.ball.center}
         for oracle in _square_oracle_factory(env, 1500):
             before = state.session
             saew_step(state, oracle)
             for s in range(before + 1, state.session + 1):
-                centers.setdefault(s, state.center.copy())
+                centers.setdefault(s, state.optimizer.ball.center)
         if len(centers) > 1:
             completed_any += 1
         ok = all(
@@ -513,12 +520,12 @@ def test_theta_tilde_risk_within_radius_chain():
                                         x_bound=1.5)
         params = ProblemParams(d0=1, alpha=8.0, U=1.0, B=4.0, delta=0.05)
         state = saew_init(params, d=4)
-        centers = {0: state.center.copy()}
+        centers = {0: state.optimizer.ball.center}
         for oracle in _square_oracle_factory(env, 1500):
             before = state.session
             saew_step(state, oracle)
             for s in range(before + 1, state.session + 1):
-                centers.setdefault(s, state.center.copy())
+                centers.setdefault(s, state.optimizer.ball.center)
         event = all(
             l1_norm(c - env.theta_star_metrics) <= params.U * 2 ** (-i / 2)
             for i, c in centers.items())
@@ -550,26 +557,65 @@ def test_determinism_same_seed_same_trajectory():
 # Snapshot / restore
 # ============================================================
 
+def _json_round_trip(state):
+    return saew_restore(json.loads(json.dumps(saew_snapshot(state))))
+
+
+def _assert_restores_at(params, oracles, at):
+    """Snapshot after each step count in ``at``; both copies must then
+    stay equal, snapshot for snapshot, to the end of ``oracles``."""
+    for k in at:
+        state = saew_init(params, d=3)
+        for oracle in oracles[:k]:
+            saew_step(state, oracle)
+        restored = _json_round_trip(state)
+        assert saew_snapshot(restored) == saew_snapshot(state)
+        for oracle in oracles[k:]:
+            saew_step(state, oracle)
+            saew_step(restored, oracle)
+            assert saew_snapshot(restored) == saew_snapshot(state)
+        np.testing.assert_array_equal(restored.optimizer.predict(),
+                                      state.optimizer.predict())
+
+
+def _closing_steps(params, oracles):
+    """``{step: sessions closed by it}`` for every step that closed one."""
+    state = saew_init(params, d=3)
+    closes = {}
+    for k, oracle in enumerate(oracles, 1):
+        before = state.session
+        saew_step(state, oracle)
+        if state.session > before:
+            closes[k] = state.session - before
+    return closes
+
+
 def test_snapshot_roundtrips_through_json():
     env = make_square_env(d=3, d0=1, noise_sd=0.2, seed=2)
     params = ProblemParams(d0=1, alpha=20.0, U=1.0, B=4.0, delta=0.1)
-    state = saew_init(params, d=3)
     oracles = _square_oracle_factory(env, 300)
-    for oracle in oracles[:120]:
-        saew_step(state, oracle)
-    doc = json.loads(json.dumps(saew_snapshot(state)))
-    assert doc["version"] == SNAPSHOT_VERSION
-    restored = saew_restore(doc)
-    # Continue both and compare exactly.
-    for oracle in oracles[120:]:
-        saew_step(state, oracle)
-        saew_step(restored, oracle)
-    assert restored.session_starts == state.session_starts
-    assert restored.eps_t == state.eps_t
-    assert restored.eps_min == state.eps_min
-    np.testing.assert_array_equal(restored.theta_tilde, state.theta_tilde)
-    np.testing.assert_array_equal(restored.optimizer.predict(),
-                                  state.optimizer.predict())
+    close = min(_closing_steps(params, oracles))
+    doc = json.loads(json.dumps(saew_snapshot(saew_init(params, d=3))))
+    assert doc["version"] == SNAPSHOT_VERSION == "saew-state-v2"
+    # Before any step, mid-session, just before and just after a close.
+    _assert_restores_at(params, oracles, [0, close // 2, close - 1, close,
+                                          120])
+
+
+def test_snapshot_roundtrips_across_zero_length_cascade():
+    env = make_square_env(d=3, d0=1, noise_sd=0.2, seed=2)
+    params = ProblemParams(d0=1, alpha=1e8, U=1.0, B=4.0, delta=0.1)
+    oracles = _square_oracle_factory(env, 40)
+    closes = _closing_steps(params, oracles)
+    cascade = min(k for k, n in closes.items() if n > 1)
+    _assert_restores_at(params, oracles, [cascade - 1, cascade, cascade + 1])
+
+
+def test_snapshot_has_no_derived_fields():
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    doc = saew_snapshot(saew_init(params, d=2))
+    for key in ("grad_sq_sum", "theta_bar", "center", "radius"):
+        assert key not in doc
 
 
 def test_snapshot_rejects_unknown_version():
@@ -577,4 +623,58 @@ def test_snapshot_rejects_unknown_version():
     doc = saew_snapshot(saew_init(params, d=2))
     doc["version"] = "saew-state-v999"
     with pytest.raises(ValueError, match="version"):
+        saew_restore(doc)
+
+
+def test_snapshot_rejects_v1_document():
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    doc = saew_snapshot(saew_init(params, d=2))
+    doc["version"] = "saew-state-v1"
+    with pytest.raises(ValueError, match="'saew-state-v1'"):
+        saew_restore(doc)
+
+
+@pytest.fixture
+def snapshot_doc():
+    """JSON snapshot of a run that has closed at least one session."""
+    env = make_square_env(d=3, d0=1, noise_sd=0.2, seed=2)
+    params = ProblemParams(d0=1, alpha=20.0, U=1.0, B=4.0, delta=0.1)
+    state = saew_init(params, d=3)
+    for oracle in _square_oracle_factory(env, 150):
+        saew_step(state, oracle)
+    assert state.session >= 1
+    doc = json.loads(json.dumps(saew_snapshot(state)))
+    saew_restore(doc)  # the untouched document is consistent
+    return doc
+
+
+def _cut(values, doc):
+    return values[:-1]
+
+
+@pytest.mark.parametrize("field, change", [
+    ("theta_bar_sum", _cut),
+    ("theta_tilde", _cut),
+    ("optimizer.center", _cut),
+    ("optimizer.grad_sum", _cut),
+    ("optimizer.log_w", _cut),
+    ("optimizer.log_w", lambda v, doc: [math.nan] + v[1:]),
+    ("optimizer.radius", lambda v, doc: v * 2.0),
+    ("session_start", lambda v, doc: v + 1),
+    ("eps_min", lambda v, doc: doc["params"]["U"] * 1.5),
+])
+def test_snapshot_rejects_inconsistent_document(snapshot_doc, field, change):
+    *parents, key = field.split(".")
+    owner = snapshot_doc
+    for name in parents:
+        owner = owner[name]
+    owner[key] = change(owner[key], snapshot_doc)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        saew_restore(snapshot_doc)
+
+
+def test_snapshot_rejects_session_start_after_t(snapshot_doc):
+    doc = snapshot_doc
+    doc["session_start"] = doc["session_starts"][-1] = doc["t"] + 1
+    with pytest.raises(ValueError, match="session_start"):
         saew_restore(doc)

@@ -29,7 +29,7 @@ from saew.harness import (
     write_summary,
 )
 from saew.losses import pinball_subgrad, true_excess_risk
-from saew.subroutine import eg_init, eg_predict, eg_update
+from saew.subroutine import eg_init
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -251,8 +251,8 @@ def _reference_mc_risks(cfg, seed):
             saew_step(state, lambda theta: grad(theta, x, y))
             theta_tilde = saew_estimators(state)[1]
         elif cfg.algorithm == "eg":
-            theta_hat = eg_predict(state)
-            eg_update(state, grad(theta_hat, x, y))
+            theta_hat = state.predict()
+            state.update(grad(theta_hat, x, y))
             average += (theta_hat - average) / (t + 1)
             theta_tilde = average
         else:

@@ -11,8 +11,6 @@ from saew.subroutine import (
     RegretCertificate,
     eg_certificate,
     eg_init,
-    eg_predict,
-    eg_update,
 )
 
 
@@ -28,9 +26,9 @@ def _corner_regret(ball, B, gradients):
     learner_loss = 0.0
     grad_sum = np.zeros(ball.dimension)
     for g in gradients:
-        theta = eg_predict(state)
+        theta = state.predict()
         learner_loss += float(g @ theta)
-        eg_update(state, g)
+        state.update(g)
         grad_sum += g
     # Best fixed corner of the ball in hindsight: center -+ radius on the
     # largest-|sum| coordinate.
@@ -88,84 +86,123 @@ def test_init_rejects_nonpositive_B():
 
 
 # ============================================================
-# eg_predict
+# predict
 # ============================================================
 
 def test_predict_uniform_weights_returns_center():
     center = np.array([0.3, -0.2, 1.0])
     state = eg_init(_ball(d=3, radius=0.7, center=center), B=1.0)
-    np.testing.assert_allclose(eg_predict(state), center, atol=1e-15)
+    np.testing.assert_allclose(state.predict(), center, atol=1e-15)
 
 
 def test_predict_weighted_d1():
     # Weights (0.75, 0.25) on corners (+1, -1) => 0.75 - 0.25 = 0.5.
-    state = eg_init(_ball(d=1), B=1.0)
-    state.log_w = np.log(np.array([0.75, 0.25]))
-    np.testing.assert_allclose(eg_predict(state), np.array([0.5]), rtol=1e-12)
+    state = EGState(ball=_ball(d=1), B=1.0,
+                    log_w=np.log(np.array([0.75, 0.25])))
+    np.testing.assert_allclose(state.predict(), np.array([0.5]), rtol=1e-12)
 
 
 def test_predict_vertex_weight():
     center = np.array([1.0, 2.0])
-    state = eg_init(_ball(d=2, radius=0.5, center=center), B=1.0)
-    state.log_w = np.array([0.0, -1e9, -1e9, -1e9])  # all mass on +e_1
-    np.testing.assert_allclose(eg_predict(state), np.array([1.5, 2.0]),
+    state = EGState(ball=_ball(d=2, radius=0.5, center=center), B=1.0,
+                    log_w=np.array([0.0, -1e9, -1e9, -1e9]))  # all on +e_1
+    np.testing.assert_allclose(state.predict(), np.array([1.5, 2.0]),
                                rtol=1e-12)
 
 
 def test_predict_degenerate_radius_returns_center():
     center = np.array([0.4, -0.4])
     state = eg_init(_ball(d=2, radius=0.0, center=center), B=1.0)
-    eg_update(state, np.array([1.0, -1.0]))
-    np.testing.assert_allclose(eg_predict(state), center, atol=0.0)
+    state.update(np.array([1.0, -1.0]))
+    np.testing.assert_allclose(state.predict(), center, atol=0.0)
+
+
+def _from_scratch_prediction(state):
+    center, radius = state.ball.center, state.ball.radius
+    if radius == 0.0:
+        return center
+    d = state.ball.dimension
+    w = np.exp(state.log_w - np.max(state.log_w))
+    return center + radius / w.sum() * (w[:d] - w[d:])
+
+
+def _rebuilt(state):
+    """A copy built from the stored fields, as a snapshot restore does."""
+    return EGState(ball=state.ball, B=state.B, log_w=state.log_w.copy(),
+                   grad_sum=state.grad_sum.copy(), v2=state.v2,
+                   b_hat=state.b_hat, t=state.t)
+
+
+@pytest.mark.parametrize("radius", [0.8, 0.0])
+def test_stored_prediction_matches_from_scratch(radius):
+    rng = np.random.default_rng(29)
+    state = eg_init(_ball(d=3, radius=radius, center=rng.normal(size=3)),
+                    B=2.0)
+    states = [state]
+    for step in range(60):
+        if step == 30:
+            states.append(_rebuilt(state))
+        g = np.zeros(3) if step % 4 == 3 else rng.uniform(-2.0, 2.0, size=3)
+        for s in states:
+            before = s.predict()
+            held = before.copy()
+            s.update(g)
+            # The previous prediction is never written into.
+            np.testing.assert_array_equal(before, held)
+            pred = s.predict()
+            assert pred.tobytes() == _from_scratch_prediction(s).tobytes()
+            with pytest.raises(ValueError):
+                pred[0] = 1.0
+        assert states[-1].predict().tobytes() == state.predict().tobytes()
 
 
 # ============================================================
-# eg_update
+# update
 # ============================================================
 
 def test_update_zero_gradient_is_noop():
     state = eg_init(_ball(d=2), B=1.0)
-    eg_update(state, np.array([0.5, -0.5]))
+    state.update(np.array([0.5, -0.5]))
     w_before, v2_before = state.weights.copy(), state.v2
-    eg_update(state, np.zeros(2))
+    state.update(np.zeros(2))
     np.testing.assert_array_equal(state.weights, w_before)
     assert state.v2 == v2_before
 
 
 def test_update_moves_weight_away_from_gradient():
     state = eg_init(_ball(d=1), B=1.0)
-    eg_update(state, np.array([1.0]))  # gradient +B favors the -1 corner
+    state.update(np.array([1.0]))  # gradient +B favors the -1 corner
     w = state.weights
     assert w[1] > w[0]
-    assert eg_predict(state)[0] < 0.0
+    assert state.predict()[0] < 0.0
 
 
 def test_update_rejects_nonfinite_gradient():
     state = eg_init(_ball(d=2), B=1.0)
     with pytest.raises(ValueError):
-        eg_update(state, np.array([np.nan, 0.0]))
+        state.update(np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        eg_update(state, np.array([np.inf, 0.0]))
+        state.update(np.array([np.inf, 0.0]))
 
 
 def test_update_rejects_dimension_mismatch():
     state = eg_init(_ball(d=2), B=1.0)
     with pytest.raises(ValueError):
-        eg_update(state, np.zeros(3))
+        state.update(np.zeros(3))
 
 
 def test_update_warns_when_gradient_exceeds_declared_bound():
     state = eg_init(_ball(d=1), B=1.0)
     with pytest.warns(RuntimeWarning):
-        eg_update(state, np.array([2.5]))
+        state.update(np.array([2.5]))
     # Continues operating with the observed running max.
     assert state.b_hat == 2.5
 
 
 def test_v2_accumulates_squared_sup_norms():
     state = eg_init(_ball(d=2), B=3.0)
-    eg_update(state, np.array([1.0, -2.0]))
-    eg_update(state, np.array([0.5, 0.0]))
+    state.update(np.array([1.0, -2.0]))
+    state.update(np.array([0.5, 0.0]))
     assert state.v2 == pytest.approx(4.0 + 0.25, rel=1e-15)
 
 
@@ -173,7 +210,7 @@ def test_weights_stay_simplex_under_random_updates():
     rng = np.random.default_rng(11)
     state = eg_init(_ball(d=4, radius=0.3, center=rng.normal(size=4)), B=2.0)
     for _ in range(300):
-        eg_update(state, rng.uniform(-2.0, 2.0, size=4))
+        state.update(rng.uniform(-2.0, 2.0, size=4))
         w = state.weights
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
@@ -188,8 +225,8 @@ def test_predictions_stay_in_ball():
                      center=rng.normal(size=d))
         state = eg_init(ball, B=1.0)
         for _ in range(50):
-            assert ball_contains(ball, eg_predict(state))
-            eg_update(state, rng.uniform(-1.0, 1.0, size=d))
+            assert ball_contains(ball, state.predict())
+            state.update(rng.uniform(-1.0, 1.0, size=d))
 
 
 # ============================================================
