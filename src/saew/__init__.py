@@ -24,7 +24,6 @@ from saew.calibration import (
     BudgetExceededError,
     CalibrationState,
     GridEntry,
-    HyperGrid,
     SessionPredictor,
     build_grid,
     calibration_estimator,
@@ -87,7 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "GridEntry",
     "HYPERPARAMETER_GRID",
-    "HyperGrid",
     "L1Ball",
     "ProblemParams",
     "RdaState",

@@ -3,8 +3,9 @@
 The iterate is driven by the exact running mean of observed gradients
 through a soft-threshold: coordinates whose mean gradient is dominated by
 the (step-dependent) l1 weight are exactly zero, the rest move opposite
-the thresholded mean with a sqrt(t) step scale.  Hyperparameters are swept
-on a log grid and selected in hindsight per experiment.
+the thresholded mean with a sqrt(t) step scale.  Hyperparameters are set
+per experiment (the ``rda_*`` config keys); ``HYPERPARAMETER_GRID`` lists
+the log-decade values to choose them from.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from saew.core import DenseVector
 
-# Hindsight-selection grid for the hyperparameter sweep: 1e-5 ... 1e3.
+# Log-decade candidate values for the hyperparameters: 1e-5 ... 1e3.
 HYPERPARAMETER_GRID: tuple[float, ...] = tuple(
     float(10.0 ** k) for k in range(-5, 4))
 

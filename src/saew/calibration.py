@@ -7,14 +7,16 @@ tuples — all powers of two spanning exponent ranges that widen with ``j``
 — defines one wrapper run per tuple, plus a null predictor for ``d0 = 0``.
 During session ``j``:
 
-* each candidate predicts through its estimator frozen strictly before
-  ``2^j``, clipped into ``[-Y, Y]``;
+* each candidate predicts through its best estimator ``theta_tilde``
+  after a wrapper run over the first ``2^j - 1`` samples, clipped into
+  ``[-Y, Y]``;
 * a fixed-learning-rate exponential-weights meta-aggregator (learning
   rate ``1/(8*Y**2)``, valid because the clipped square loss is
-  exp-concave on ``[-Y, Y]``) combines the candidates by weighted mean;
-* the candidates serving session ``j+1`` train on every sample (they are
-  created at the session start by replaying the full history prefix, so
-  each one effectively sees the whole stream).
+  exp-concave on ``[-Y, Y]``) combines the candidates by weighted mean.
+
+Candidates train only at session boundaries: when session ``j`` closes,
+each grid-``(j+1)`` wrapper is fitted once over the whole history, in
+stream order, and only its ``theta_tilde`` is kept.
 
 The session estimator ``f_bar`` is the average of the meta predictors
 used over the previous session, stored as time-averaged weights over the
@@ -35,26 +37,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from saew.core import ProblemParams
-from saew.engine import SaewState, saew_estimators, saew_init, saew_step
+from saew.engine import saew_estimators, saew_init, saew_step
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a planned calibration run exceeds its compute budget."""
-
-
-# ============================================================
-# Clipping
-# ============================================================
-
-def clip(x: float, Y: float) -> float:
-    """Clamp ``x`` into ``[-Y, Y]``.
-
-    Raises:
-        ValueError: if ``Y <= 0``.
-    """
-    if not (Y > 0.0):
-        raise ValueError(f"Y must be > 0, got {Y}")
-    return max(-Y, min(float(x), Y))
 
 
 # ============================================================
@@ -81,17 +68,6 @@ class GridEntry:
         return f"d0={self.d0},alpha={self.alpha:g},U={self.U:g},B={self.B:g}"
 
 
-@dataclasses.dataclass(frozen=True)
-class HyperGrid:
-    """The candidate tuples for one doubling session."""
-
-    j: int
-    entries: tuple[GridEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _exponent_range(lo: int, hi: int,
                     clamp: tuple[int, int] | None) -> range:
     if clamp is not None:
@@ -100,8 +76,9 @@ def _exponent_range(lo: int, hi: int,
 
 
 def build_grid(j: int, d: int, Y: float,
-               exponent_clamp: tuple[int, int] | None = None) -> HyperGrid:
-    """Hyperparameter grid for doubling session ``j``.
+               exponent_clamp: tuple[int, int] | None = None
+               ) -> tuple[GridEntry, ...]:
+    """Hyperparameter grid for doubling session ``j``, null entry first.
 
     Components are exact powers of two spanning:
 
@@ -142,30 +119,26 @@ def build_grid(j: int, d: int, Y: float,
                 for ku in ub_exponents:
                     entries.append(
                         GridEntry(d0=d0, alpha=alpha, U=2.0 ** ku, B=B))
-    return HyperGrid(j=j, entries=tuple(entries))
+    return tuple(entries)
 
 
 def grid_cost(T: int, d: int, Y: float,
               exponent_clamp: tuple[int, int] | None = None) -> int:
-    """Projected candidate-steps for a length-``T`` calibration run.
+    """Candidate-steps (``saew_step`` calls) of a length-``T`` calibration run.
 
-    Counts one unit per (candidate, sample) pair for the wrapper runs:
-    each session ``j`` trains the next session's non-null candidates on
-    the session's samples, after a replay of the full history prefix.
-    This is the quantity compared against the compute budget.
+    A session closes at every ``t = 2**k <= T + 1`` and fits each non-null
+    grid-``k`` candidate over the ``2**k - 1`` samples seen so far.  This
+    is the quantity compared against the compute budget.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cost = 0
-    j = 0
-    while 2 ** j <= T:
-        session_len = min(2 ** (j + 1) - 1, T) - 2 ** j + 1
-        trainees = sum(
-            1 for e in build_grid(j + 1, d, Y, exponent_clamp).entries
-            if not e.is_null)
-        replay = 2 ** j - 1
-        cost += trainees * (replay + session_len)
-        j += 1
+    k = 1
+    while 2 ** k <= T + 1:
+        fitted = sum(1 for e in build_grid(k, d, Y, exponent_clamp)
+                     if not e.is_null)
+        cost += fitted * (2 ** k - 1)
+        k += 1
     return cost
 
 
@@ -214,9 +187,8 @@ class CalibrationState:
     """Mutable state of the doubling-session calibration loop.
 
     ``candidates``/``theta_matrix``/``log_weights`` describe the
-    predicting set for the current session ``j`` (estimators frozen
-    strictly before ``2**j``); ``training`` holds the wrapper states that
-    will serve session ``j+1``, advancing on every sample.
+    predicting set for the current session ``j`` (estimators fitted on the
+    samples before ``2**j``).  The session has seen ``t - 2**j`` samples.
     """
 
     d: int
@@ -229,12 +201,8 @@ class CalibrationState:
     theta_matrix: np.ndarray
     log_weights: np.ndarray
     weight_snapshot_sum: np.ndarray
-    snapshot_count: int
     meta_loss_sum: float
     candidate_loss_sum: np.ndarray
-    training_entries: list[GridEntry]
-    training_states: list[SaewState | None]
-    previous_estimator: SessionPredictor | None
     past_estimators: list[SessionPredictor]
     history_x: list[np.ndarray]
     history_y: list[float]
@@ -256,43 +224,31 @@ def session_delta(delta: float, j: int) -> float:
     return delta / (2.0 * (j + 1) ** 2)
 
 
-def _wrapper_states(grid: HyperGrid, d: int, delta_j: float
-                    ) -> tuple[list[GridEntry], list[SaewState | None]]:
-    """One fresh wrapper run per non-null entry (null keeps ``None``).
+def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
+                    history_x: Sequence[np.ndarray],
+                    history_y: Sequence[float]) -> np.ndarray:
+    """One row per entry: ``theta_tilde`` of a fresh wrapper run over the
+    history on the square loss, in stream order (zeros for the null entry).
 
     Nominal sparsity above the ambient dimension is run at ``d0 = d``
     (the truncation keeps every coordinate either way).
     """
-    entries = list(grid.entries)
-    states: list[SaewState | None] = []
-    for entry in entries:
-        if entry.is_null:
-            states.append(None)
-            continue
-        params = ProblemParams(d0=min(entry.d0, d), alpha=entry.alpha,
-                               U=entry.U, B=entry.B, delta=delta_j)
-        states.append(saew_init(params, d))
-    return entries, states
-
-
-def _square_gradient_step(state: SaewState, x: np.ndarray, y: float) -> None:
+    theta_matrix = np.zeros((len(entries), d))
     # Grid candidates intentionally span misspecified gradient bounds, so
     # the per-candidate bound-exceeded warning carries no signal here.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        saew_step(state, lambda theta: 2.0 * (float(x @ theta) - y) * x)
-
-
-def _frozen_matrix(entries: Sequence[GridEntry],
-                   states: Sequence[SaewState | None],
-                   d: int) -> np.ndarray:
-    rows = []
-    for entry, state in zip(entries, states):
-        if state is None:
-            rows.append(np.zeros(d))
-        else:
-            rows.append(saew_estimators(state)[1])
-    return np.array(rows)
+        for row, entry in enumerate(entries):
+            if entry.is_null:
+                continue
+            params = ProblemParams(d0=min(entry.d0, d), alpha=entry.alpha,
+                                   U=entry.U, B=entry.B, delta=delta_j)
+            state = saew_init(params, d)
+            for x, y in zip(history_x, history_y):
+                saew_step(state,
+                          lambda theta: 2.0 * (float(x @ theta) - y) * x)
+            theta_matrix[row] = saew_estimators(state)[1]
+    return theta_matrix
 
 
 def calibration_init(d: int, Y: float, delta: float,
@@ -301,8 +257,7 @@ def calibration_init(d: int, Y: float, delta: float,
     """Fresh calibration loop at ``t = 1`` (session 0).
 
     Session 0's candidates predict through zero estimators (nothing was
-    observed before ``t = 1``); the states serving session 1 start
-    training immediately.
+    observed before ``t = 1``).
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -310,11 +265,8 @@ def calibration_init(d: int, Y: float, delta: float,
         raise ValueError(f"Y must be > 0, got {Y}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    grid0 = build_grid(0, d, Y, exponent_clamp)
-    candidates = list(grid0.entries)
+    candidates = list(build_grid(0, d, Y, exponent_clamp))
     n = len(candidates)
-    train_entries, train_states = _wrapper_states(
-        build_grid(1, d, Y, exponent_clamp), d, session_delta(delta, 1))
     return CalibrationState(
         d=d, Y=Y, delta=delta, exponent_clamp=exponent_clamp,
         j=0, t=1,
@@ -322,12 +274,8 @@ def calibration_init(d: int, Y: float, delta: float,
         theta_matrix=np.zeros((n, d)),
         log_weights=np.zeros(n),
         weight_snapshot_sum=np.zeros(n),
-        snapshot_count=0,
         meta_loss_sum=0.0,
         candidate_loss_sum=np.zeros(n),
-        training_entries=train_entries,
-        training_states=train_states,
-        previous_estimator=None,
         past_estimators=[],
         history_x=[], history_y=[],
         n_out_of_range=0,
@@ -336,53 +284,42 @@ def calibration_init(d: int, Y: float, delta: float,
 
 
 def _close_session(state: CalibrationState) -> None:
-    """Roll over at ``t = 2**(j+1)``: freeze trainees, reset the meta."""
-    n = len(state.candidates)
+    """Roll over at ``t = 2**(j+1)``: record session ``j``, fit the
+    grid-``(j+1)`` candidates on the whole history, reset the meta."""
+    steps = state.t - 2 ** state.j
     # Average meta predictor over the finished session.
-    if state.snapshot_count > 0:
-        mean_w = state.weight_snapshot_sum / state.snapshot_count
-    else:
-        mean_w = np.full(n, 1.0 / n)
-    state.previous_estimator = SessionPredictor(
-        j=state.j, Y=state.Y, mean_weights=mean_w,
-        theta_matrix=state.theta_matrix.copy())
-    state.past_estimators.append(state.previous_estimator)
+    state.past_estimators.append(SessionPredictor(
+        j=state.j, Y=state.Y,
+        mean_weights=state.weight_snapshot_sum / steps,
+        theta_matrix=state.theta_matrix))
     # Session diagnostics.
-    steps = max(state.snapshot_count, 1)
     best = int(np.argmin(state.candidate_loss_sum))
     state.session_rows.append(SessionSummary(
         j=state.j,
-        grid_size=n,
+        grid_size=len(state.candidates),
         best_candidate=state.candidates[best].label(),
         meta_risk=state.meta_loss_sum / steps,
         best_risk=float(state.candidate_loss_sum[best]) / steps,
     ))
-    # The trainees become the predicting candidates of session j+1.
     state.j += 1
-    state.candidates = list(state.training_entries)
-    state.theta_matrix = _frozen_matrix(state.training_entries,
-                                        state.training_states, state.d)
+    state.candidates = list(build_grid(state.j, state.d, state.Y,
+                                       state.exponent_clamp))
+    state.theta_matrix = _fit_candidates(
+        state.candidates, state.d, session_delta(state.delta, state.j),
+        state.history_x, state.history_y)
     m = len(state.candidates)
     state.log_weights = np.zeros(m)
     state.weight_snapshot_sum = np.zeros(m)
-    state.snapshot_count = 0
     state.meta_loss_sum = 0.0
     state.candidate_loss_sum = np.zeros(m)
-    # New trainees for session j+2: fresh runs replayed over the prefix.
-    next_grid = build_grid(state.j + 1, state.d, state.Y,
-                           state.exponent_clamp)
-    state.training_entries, state.training_states = _wrapper_states(
-        next_grid, state.d, session_delta(state.delta, state.j + 1))
-    for st in state.training_states:
-        if st is None:
-            continue
-        for x, y in zip(state.history_x, state.history_y):
-            _square_gradient_step(st, x, y)
 
 
 def calibration_step(state: CalibrationState, x: np.ndarray, y: float
                      ) -> tuple[float, CalibrationState]:
-    """One sample: meta-predict, observe ``y``, update weights, train.
+    """One sample: meta-predict, observe ``y``, update weights.
+
+    The step that closes a session also fits the next session's
+    candidates on the history.
 
     Returns the meta prediction (a convex combination of clipped
     candidate predictions, hence itself in ``[-Y, Y]``) and the state.
@@ -407,7 +344,6 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     prediction = float(weights @ preds)
 
     state.weight_snapshot_sum += weights
-    state.snapshot_count += 1
     if abs(y) > state.Y:
         state.n_out_of_range += 1
 
@@ -417,10 +353,6 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     state.log_weights -= state.eta * losses
     state.log_weights -= np.max(state.log_weights)
 
-    # Advance the wrappers serving the next session.
-    for st in state.training_states:
-        if st is not None:
-            _square_gradient_step(st, x, y)
     state.history_x.append(x.copy())
     state.history_y.append(y)
 
@@ -436,9 +368,9 @@ def calibration_estimator(state: CalibrationState
 
     During session 0 (nothing completed yet) this is the zero predictor.
     """
-    if state.previous_estimator is None:
+    if not state.past_estimators:
         return zero_predictor
-    return state.previous_estimator
+    return state.past_estimators[-1]
 
 
 # ============================================================

@@ -69,13 +69,13 @@ def truncate_top(v: DenseVector, d0: int) -> DenseVector:
 class SaewState:
     """Mutable state of the acceleration wrapper.
 
-    The session ball is ``optimizer.ball`` and the session's sum of
-    squared gradient sup-norms is ``optimizer.v2``.
+    The session ball is ``optimizer.ball`` (its dimension is the ambient
+    dimension ``d``) and the session's sum of squared gradient sup-norms
+    is ``optimizer.v2``.
 
     Attributes:
         params: problem constants (sparsity, strong convexity, ball radius,
             gradient bound, confidence level).
-        dimension: ambient dimension ``d``.
         certificate: the subroutine's regret certificate ``(a, b)``.
         session: current session index ``i >= 0``.
         session_start: global step index at which the session began (the
@@ -97,7 +97,6 @@ class SaewState:
     """
 
     params: ProblemParams
-    dimension: int
     certificate: RegretCertificate
     session: int
     session_start: int
@@ -148,7 +147,6 @@ def saew_init(params: ProblemParams, d: int,
         certificate = eg_certificate(d)
     return SaewState(
         params=params,
-        dimension=d,
         certificate=certificate,
         session=0,
         session_start=1,
@@ -174,7 +172,7 @@ def _open_next_session(state: SaewState, center: DenseVector) -> None:
     state.session_starts.append(state.t)
     ball = L1Ball(center, _session_radius(state.params, state.session))
     state.optimizer = eg_init(ball, state.params.B)
-    state.theta_bar_sum = np.zeros(state.dimension)
+    state.theta_bar_sum = np.zeros(ball.dimension)
 
 
 def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
@@ -256,7 +254,7 @@ def saew_snapshot(state: SaewState) -> dict:
             "B": state.params.B,
             "delta": state.params.delta,
         },
-        "dimension": state.dimension,
+        "dimension": opt.ball.dimension,
         "certificate": {"a": state.certificate.a, "b": state.certificate.b},
         "session": state.session,
         "session_start": state.session_start,
@@ -333,7 +331,6 @@ def saew_restore(doc: dict) -> SaewState:
     cert = doc["certificate"]
     return SaewState(
         params=params,
-        dimension=d,
         certificate=RegretCertificate(float(cert["a"]), float(cert["b"])),
         session=session,
         session_start=session_start,

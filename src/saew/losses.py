@@ -13,7 +13,6 @@ risk bounds, where the covariate sup-norm bound must hold almost surely
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import OrderedDict
 from typing import NamedTuple
@@ -32,55 +31,6 @@ _HOLDOUT_CACHE: OrderedDict[
     tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 _HOLDOUT_CACHE_MAX = 4
 _HOLDOUT_SIZE = 10 ** 5
-
-
-# ============================================================
-# Loss specifications
-# ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class SquareLossSpec:
-    """Constants of a square-loss problem with bounded design.
-
-    Attributes:
-        X: sup-norm bound on covariate vectors.
-        Y: bound on |response|.
-        sigma2: noise variance (the risk of the true parameter).
-        covariance: description of the covariate covariance.
-        alpha: smallest eigenvalue of the covariate covariance (the risk's
-            strong-convexity constant); 1.0 for the identity.
-    """
-
-    X: float
-    Y: float
-    sigma2: float
-    covariance: str = "identity"
-    alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.X <= 0.0 or self.Y <= 0.0:
-            raise ValueError("X and Y must be > 0")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
-
-
-@dataclasses.dataclass(frozen=True)
-class QuantileSpec:
-    """Constants of a pinball-loss problem.
-
-    Attributes:
-        alpha_q: quantile level in (0, 1).
-        intercept: whether a constant covariate 1 is prepended.
-        noise: description of the noise distribution.
-    """
-
-    alpha_q: float
-    intercept: bool = True
-    noise: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha_q < 1.0):
-            raise ValueError("alpha_q must lie in (0, 1)")
 
 
 class RiskEstimate(NamedTuple):

@@ -90,14 +90,6 @@ class EGState:
             self.grad_sum = np.zeros(self.ball.dimension)
         self._refresh_prediction()
 
-    # ---- derived views -------------------------------------------------
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Normalized simplex weights over the ``2d`` corners."""
-        w = np.exp(self.log_w - np.max(self.log_w))
-        return w / w.sum()
-
     # ---- behavior -------------------------------------------------------
 
     def predict(self) -> DenseVector:

@@ -1,6 +1,7 @@
 """Tests for the parameter-free calibration layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from saew.calibration import (
     BudgetExceededError,
     CalibrationState,
     GridEntry,
-    HyperGrid,
     SessionPredictor,
     build_grid,
     calibration_estimator,
     calibration_init,
     calibration_step,
-    clip,
     grid_cost,
     run_calibration,
     session_delta,
@@ -28,33 +27,13 @@ from saew.losses import make_square_env
 
 
 # ============================================================
-# clip
-# ============================================================
-
-def test_clip_examples():
-    assert clip(2.0, 1.0) == 1.0
-    assert clip(-3.0, 1.0) == -1.0
-    assert clip(0.5, 1.0) == 0.5
-
-
-def test_clip_boundaries_and_validation():
-    assert clip(1.0, 1.0) == 1.0
-    assert clip(-1.0, 1.0) == -1.0
-    with pytest.raises(ValueError, match="Y"):
-        clip(0.0, 0.0)
-    with pytest.raises(ValueError, match="Y"):
-        clip(0.0, -1.0)
-
-
-# ============================================================
 # build_grid
 # ============================================================
 
 def test_grid_session0_hand_enumeration():
     grid = build_grid(0, d=2, Y=1.0)
-    assert grid.j == 0
-    entries = set(grid.entries)
-    assert entries == {
+    assert grid[0] == GridEntry(d0=0)
+    assert set(grid) == {
         GridEntry(d0=0),
         GridEntry(d0=1, alpha=1.0, U=1.0, B=1.0),
         GridEntry(d0=2, alpha=2.0, U=1.0, B=1.0),
@@ -63,7 +42,7 @@ def test_grid_session0_hand_enumeration():
 
 def test_grid_components_are_powers_of_two():
     for j, d, Y in [(0, 2, 1.0), (2, 5, 1.0), (3, 8, 4.0)]:
-        for e in build_grid(j, d, Y).entries:
+        for e in build_grid(j, d, Y):
             if e.is_null:
                 assert e.alpha is None and e.U is None and e.B is None
                 continue
@@ -91,14 +70,14 @@ def test_grid_cardinality_bound():
 
 def test_grid_entries_unique():
     grid = build_grid(3, d=8, Y=2.0)
-    assert len(set(grid.entries)) == len(grid.entries)
+    assert len(set(grid)) == len(grid)
 
 
 def test_grid_exponent_clamp_intersects_ranges():
     full = build_grid(2, d=2, Y=1.0)
     clamped = build_grid(2, d=2, Y=1.0, exponent_clamp=(0, 0))
-    assert set(clamped.entries) <= set(full.entries)
-    for e in clamped.entries:
+    assert set(clamped) <= set(full)
+    for e in clamped:
         if not e.is_null:
             assert e.U == 1.0 and e.B == 1.0 and e.alpha == 1.0
     with pytest.raises(ValueError, match="clamp"):
@@ -135,7 +114,7 @@ def test_grid_factor_two_cover():
             continue
         a_true = float(2.0 ** rng.uniform(a_lo, a_hi))
         alpha = 2.0 ** math.ceil(math.log2(a_true))
-        assert GridEntry(d0=d0, alpha=alpha, U=U, B=B) in set(grid.entries)
+        assert GridEntry(d0=d0, alpha=alpha, U=U, B=B) in set(grid)
 
 
 # ============================================================
@@ -173,11 +152,8 @@ def _manual_state(thetas, d, Y, entries=None):
         theta_matrix=thetas,
         log_weights=np.zeros(n),
         weight_snapshot_sum=np.zeros(n),
-        snapshot_count=0,
         meta_loss_sum=0.0,
         candidate_loss_sum=np.zeros(n),
-        training_entries=[], training_states=[],
-        previous_estimator=None,
         past_estimators=[],
         history_x=[], history_y=[],
         n_out_of_range=0,
@@ -311,7 +287,7 @@ def test_run_calibration_doubling_bookkeeping():
     assert state.j == 6  # sessions 0..5 completed at t = 64 = 2^6
     assert [row.j for row in state.session_rows] == list(range(6))
     assert [f.j for f in state.past_estimators] == list(range(6))
-    assert state.past_estimators[-1] is state.previous_estimator
+    assert calibration_estimator(state) is state.past_estimators[-1]
     for row in state.session_rows:
         expected = len(build_grid(row.j, 2, 2.0, exponent_clamp=(-1, 1)))
         assert row.grid_size == expected
@@ -319,13 +295,13 @@ def test_run_calibration_doubling_bookkeeping():
         assert row.best_risk >= 0.0 and math.isfinite(row.best_risk)
 
 
-def test_frozen_candidates_reproducible_from_prefix():
+def _assert_rows_are_prefix_replicas(exponent_clamp):
     # The matrix row for a session-j candidate must equal a fresh wrapper
     # run over exactly the first 2^j - 1 samples with delta_j.
     env = make_square_env(d=2, d0=1, noise_sd=0.2, seed=5)
     T = 31
     state = run_calibration(env.draw, T=T, d=2, Y=2.0, delta=0.1,
-                            exponent_clamp=(0, 0))
+                            exponent_clamp=exponent_clamp)
     j = state.j  # current session (predicting candidates frozen at 2^j)
     xs, ys = env.draw(2 ** j - 1)
     for idx, entry in enumerate(state.candidates):
@@ -343,12 +319,24 @@ def test_frozen_candidates_reproducible_from_prefix():
                       lambda theta: 2.0 * (float(x_s @ theta) - y_s) * x_s)
         np.testing.assert_array_equal(state.theta_matrix[idx],
                                       saew_estimators(replica)[1])
+    return state
+
+
+def test_frozen_candidates_reproducible_from_prefix():
+    _assert_rows_are_prefix_replicas((0, 0))
+
+
+def test_fitted_candidates_off_the_origin_reproducible_from_prefix():
+    # Large alpha lets some candidates' theta_tilde leave the origin on this
+    # stream, so the rows compare nonzero estimates, not only zeros.
+    state = _assert_rows_are_prefix_replicas((2, 4))
+    assert np.any(state.theta_matrix)
 
 
 def test_nominal_sparsity_above_dimension_is_usable():
     # d=3 puts d0=4 in the grid; the wrapper runs it at effective d0=3.
     grid = build_grid(0, d=3, Y=1.0)
-    assert any(e.d0 == 4 for e in grid.entries)
+    assert any(e.d0 == 4 for e in grid)
     env = make_square_env(d=3, d0=1, noise_sd=0.1, seed=2)
     state = run_calibration(env.draw, T=8, d=3, Y=1.0, delta=0.1,
                             exponent_clamp=(-1, 1))
@@ -369,8 +357,56 @@ def test_calibration_init_validation():
 # ============================================================
 
 def test_grid_cost_single_step():
-    nonnull = sum(1 for e in build_grid(1, 2, 1.0).entries if not e.is_null)
+    nonnull = sum(1 for e in build_grid(1, 2, 1.0) if not e.is_null)
     assert grid_cost(1, 2, 1.0) == nonnull
+
+
+def _count_saew_steps(monkeypatch):
+    import saew.calibration
+
+    calls = [0]
+
+    def counting(state, oracle):
+        calls[0] += 1
+        return saew_step(state, oracle)
+
+    monkeypatch.setattr(saew.calibration, "saew_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 15, 16, 31, 32, 33])
+def test_grid_cost_counts_the_candidate_steps_run(T, monkeypatch):
+    calls = _count_saew_steps(monkeypatch)
+    env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=4)
+    run_calibration(env.draw, T=T, d=2, Y=2.0, delta=0.1,
+                    exponent_clamp=(-1, 1))
+    assert calls[0] == grid_cost(T, 2, 2.0, exponent_clamp=(-1, 1))
+
+
+def test_candidates_train_only_when_a_session_closes(monkeypatch):
+    calls = _count_saew_steps(monkeypatch)
+    env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=4)
+    xs, ys = env.draw(40)
+    state = calibration_init(d=2, Y=2.0, delta=0.1, exponent_clamp=(-1, 1))
+    for t in range(40):
+        before = calls[0]
+        calibration_step(state, xs[t], float(ys[t]))
+        closed = state.t == 2 ** state.j
+        assert (calls[0] > before) == closed
+
+
+def test_misspecified_gradient_bounds_raise_no_warning():
+    # Clamping every exponent to -1 puts each candidate's B at 1/2, below
+    # the square-loss gradients, so wrapper steps exceed B.
+    env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        state = run_calibration(env.draw, T=16, d=2, Y=2.0, delta=0.1,
+                                exponent_clamp=(-1, -1))
+        assert warnings.filters == filters
+    assert all(e.B == 0.5 for e in state.candidates if not e.is_null)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_budget_guard_fails_fast_without_consuming_data():

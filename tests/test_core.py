@@ -18,6 +18,18 @@ from saew.core import (
 
 
 # ============================================================
+# Package surface
+# ============================================================
+
+def test_every_public_name_resolves():
+    import saew
+
+    missing = [name for name in saew.__all__ if not hasattr(saew, name)]
+    assert not missing
+    assert len(set(saew.__all__)) == len(saew.__all__)
+
+
+# ============================================================
 # l1_norm
 # ============================================================
 

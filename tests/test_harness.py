@@ -543,7 +543,7 @@ def test_calibration_csv_quotes_candidate_labels(tmp_path, monkeypatch):
                            cal_clamp_lo=-1, cal_clamp_hi=1)
     # Short runs keep every candidate at the origin, so the null predictor
     # wins each session; give the last row a real candidate's label.
-    label = next(e.label() for e in build_grid(1, 2, 2.0, (-1, 1)).entries
+    label = next(e.label() for e in build_grid(1, 2, 2.0, (-1, 1))
                  if not e.is_null)
     assert "," in label
 

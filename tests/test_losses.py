@@ -9,10 +9,8 @@ import saew.losses
 from saew.bounds import gradient_bound_square
 from saew.core import excess_l2
 from saew.losses import (
-    QuantileSpec,
     _holdout,
     RiskEstimate,
-    SquareLossSpec,
     gaussian_pinball_risk,
     make_quantile_env,
     make_square_env,
@@ -148,27 +146,6 @@ def test_pinball_subgradient_inequality_at_exact_kink():
         gap = (pinball_loss(theta2, x, y, a) - pinball_loss(theta, x, y, a)
                - float(g @ (theta2 - theta)))
         assert gap >= -1e-9
-
-
-# ============================================================
-# Loss specs
-# ============================================================
-
-def test_square_spec_validation():
-    spec = SquareLossSpec(X=2.0, Y=3.0, sigma2=0.25)
-    assert spec.covariance == "identity" and spec.alpha == 1.0
-    with pytest.raises(ValueError):
-        SquareLossSpec(X=0.0, Y=1.0, sigma2=0.0)
-    with pytest.raises(ValueError):
-        SquareLossSpec(X=1.0, Y=1.0, sigma2=-0.1)
-
-
-def test_quantile_spec_validation():
-    spec = QuantileSpec(alpha_q=0.8)
-    assert spec.intercept and spec.noise == "gaussian"
-    for bad in (0.0, 1.0, 2.0):
-        with pytest.raises(ValueError):
-            QuantileSpec(alpha_q=bad)
 
 
 # ============================================================

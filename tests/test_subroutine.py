@@ -20,6 +20,12 @@ def _ball(d=2, radius=1.0, center=None):
     return L1Ball(center=np.asarray(center, float), radius=radius)
 
 
+def _weights(state):
+    """Normalized simplex weights over the ``2d`` corners."""
+    w = np.exp(state.log_w - np.max(state.log_w))
+    return w / w.sum()
+
+
 def _corner_regret(ball, B, gradients):
     """Run EG on a gradient sequence; return (regret vs best corner, v2)."""
     state = eg_init(ball, B)
@@ -69,13 +75,14 @@ def test_certificate_rejects_negative_constants():
 
 def test_init_uniform_weights_d2():
     state = eg_init(_ball(d=2), B=1.0)
-    np.testing.assert_allclose(state.weights, np.full(4, 0.25), rtol=1e-15)
+    np.testing.assert_allclose(_weights(state), np.full(4, 0.25), rtol=1e-15)
     assert state.v2 == 0.0
 
 
 def test_init_uniform_weights_d1():
     state = eg_init(_ball(d=1), B=1.0)
-    np.testing.assert_allclose(state.weights, np.array([0.5, 0.5]), rtol=1e-15)
+    np.testing.assert_allclose(_weights(state), np.array([0.5, 0.5]),
+                               rtol=1e-15)
 
 
 def test_init_rejects_nonpositive_B():
@@ -163,16 +170,16 @@ def test_stored_prediction_matches_from_scratch(radius):
 def test_update_zero_gradient_is_noop():
     state = eg_init(_ball(d=2), B=1.0)
     state.update(np.array([0.5, -0.5]))
-    w_before, v2_before = state.weights.copy(), state.v2
+    w_before, v2_before = _weights(state), state.v2
     state.update(np.zeros(2))
-    np.testing.assert_array_equal(state.weights, w_before)
+    np.testing.assert_array_equal(_weights(state), w_before)
     assert state.v2 == v2_before
 
 
 def test_update_moves_weight_away_from_gradient():
     state = eg_init(_ball(d=1), B=1.0)
     state.update(np.array([1.0]))  # gradient +B favors the -1 corner
-    w = state.weights
+    w = _weights(state)
     assert w[1] > w[0]
     assert state.predict()[0] < 0.0
 
@@ -211,7 +218,7 @@ def test_weights_stay_simplex_under_random_updates():
     state = eg_init(_ball(d=4, radius=0.3, center=rng.normal(size=4)), B=2.0)
     for _ in range(300):
         state.update(rng.uniform(-2.0, 2.0, size=4))
-        w = state.weights
+        w = _weights(state)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
         assert state.v2 >= 0.0
