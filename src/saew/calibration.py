@@ -15,8 +15,9 @@ During session ``j``:
   exp-concave on ``[-Y, Y]``) combines the candidates by weighted mean.
 
 Candidates train only at session boundaries: when session ``j`` closes,
-each grid-``(j+1)`` wrapper is fitted once over the whole history, in
-stream order, and only its ``theta_tilde`` is kept.
+every grid-``(j+1)`` wrapper is fitted once over the whole history, in
+stream order and in one batched pass, and only its ``theta_tilde`` is
+kept.
 
 The session estimator ``f_bar`` is the average of the meta predictors
 used over the previous session, stored as time-averaged weights over the
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
 from saew.core import ProblemParams
-from saew.engine import saew_estimators, saew_init, saew_step
+from saew.engine import saew_fit_square
+# Unused here; benchmarks/tracer.py wraps these names in this module.
+from saew.engine import saew_estimators, saew_init, saew_step  # noqa: F401
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,7 +126,8 @@ def build_grid(j: int, d: int, Y: float,
 
 def grid_cost(T: int, d: int, Y: float,
               exponent_clamp: tuple[int, int] | None = None) -> int:
-    """Candidate-steps (``saew_step`` calls) of a length-``T`` calibration run.
+    """Candidate-steps (wrapper steps over history samples) of a length-``T``
+    calibration run.
 
     A session closes at every ``t = 2**k <= T + 1`` and fits each non-null
     grid-``k`` candidate over the ``2**k - 1`` samples seen so far.  This
@@ -230,24 +233,16 @@ def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
     """One row per entry: ``theta_tilde`` of a fresh wrapper run over the
     history on the square loss, in stream order (zeros for the null entry).
 
+    All non-null wrappers run in one :func:`saew_fit_square` pass.
     Nominal sparsity above the ambient dimension is run at ``d0 = d``
     (the truncation keeps every coordinate either way).
     """
     theta_matrix = np.zeros((len(entries), d))
-    # Grid candidates intentionally span misspecified gradient bounds, so
-    # the per-candidate bound-exceeded warning carries no signal here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for row, entry in enumerate(entries):
-            if entry.is_null:
-                continue
-            params = ProblemParams(d0=min(entry.d0, d), alpha=entry.alpha,
-                                   U=entry.U, B=entry.B, delta=delta_j)
-            state = saew_init(params, d)
-            for x, y in zip(history_x, history_y):
-                saew_step(state,
-                          lambda theta: 2.0 * (float(x @ theta) - y) * x)
-            theta_matrix[row] = saew_estimators(state)[1]
+    rows = [row for row, entry in enumerate(entries) if not entry.is_null]
+    params = [ProblemParams(d0=min(e.d0, d), alpha=e.alpha, U=e.U, B=e.B,
+                            delta=delta_j)
+              for e in entries if not e.is_null]
+    theta_matrix[rows] = saew_fit_square(params, d, history_x, history_y)[0]
     return theta_matrix
 
 

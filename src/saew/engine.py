@@ -17,8 +17,9 @@ State snapshots serialize to a versioned JSON document (see
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -236,6 +237,214 @@ def saew_estimators(state: SaewState) -> tuple[DenseVector, DenseVector]:
     the subroutine's read-only array.
     """
     return state.optimizer.predict(), state.theta_tilde.copy()
+
+
+# ============================================================
+# Batched square-loss fit
+# ============================================================
+
+def saew_fit_square(params: Sequence[ProblemParams], d: int,
+                    xs: np.ndarray, ys: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Run one wrapper per entry of ``params`` over a square-loss history.
+
+    The batched counterpart of :func:`saew_step`: row ``r`` of the result
+    is, bit for bit, what ``saew_init(params[r], d)`` followed by one
+    ``saew_step`` per sample in stream order, with the oracle
+    ``theta -> 2 * (x @ theta - y) * x``, leaves behind.  The wrappers are
+    rows of arrays, so a sample costs a few numpy calls on all of them;
+    only a row that closes a session takes a per-row Python step.  Unlike
+    the subroutine, the fit issues no warning for gradients above ``B``.
+
+    Args:
+        params: one parameter set per wrapper, all with the same ``delta``.
+        d: ambient dimension.
+        xs: ``(T, d)`` inputs, in stream order.
+        ys: ``(T,)`` responses.
+
+    Returns:
+        ``(theta_tilde, session)``: the ``(N, d)`` best estimators and each
+        wrapper's final session index.
+
+    Raises:
+        ValueError: ``d < 1``, some ``d0 > d``, mixed ``delta``, a history
+            of the wrong shape, or a non-finite gradient.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    for p in params:
+        if p.d0 > d:
+            raise ValueError(f"d0 must be <= d, got d0={p.d0}, d={d}")
+    if len({p.delta for p in params}) > 1:
+        raise ValueError("all wrappers must share one delta")
+    xs = np.asarray(xs, float)
+    ys = np.asarray(ys, float)
+    if xs.size == 0:
+        xs = xs.reshape(0, d)
+    if ys.ndim != 1 or xs.shape != (ys.shape[0], d):
+        raise ValueError(f"history shapes {xs.shape} and {ys.shape} do not "
+                         f"match (T, {d}) and (T,)")
+    if not params:
+        return np.zeros((0, d)), np.zeros(0, dtype=int)
+    bank = _SquareBank(params, d, xs.shape[0])
+    for t, (x, y) in enumerate(zip(xs, ys.tolist()), start=1):
+        bank.step(t, x, y)
+    return bank.theta_tilde, bank.session
+
+
+def _eps_factor(params: ProblemParams, i: int) -> float:
+    """``radius_bound``'s ``2 * d0 * U * 2**(-i/2)``, multiplied in its
+    order: ``eps_t = 2 * sqrt(factor * err_t / (alpha * window))``."""
+    return 2.0 * params.d0 * params.U * 2.0 ** (-i / 2.0)
+
+
+class _SquareBank:
+    """Wrapper states of :func:`saew_fit_square`, one per row.
+
+    Each expression repeats the one :func:`saew_step`, ``EGState.update``
+    and the bound evaluators apply to a single wrapper, in the same order,
+    so every row rounds the same way.  ``a'`` and ``b'`` come from the
+    scalar evaluators, tabulated per (session, window) as the rows reach
+    them.
+    """
+
+    def __init__(self, params: Sequence[ProblemParams], d: int, T: int):
+        n = len(params)
+        self.params = params
+        self.d = d
+        self.delta = params[0].delta
+        self.certificate = eg_certificate(d)
+        self.root_log_2d = math.sqrt(math.log(2 * d))
+        self.alpha = np.array([p.alpha for p in params])
+        self.B = np.array([p.B for p in params])
+        self.session = np.zeros(n, dtype=int)
+        self.start = np.ones(n, dtype=int)
+        self.radius = np.array([p.U for p in params])
+        self.next_radius = np.array([_session_radius(p, 1) for p in params])
+        self.eps_factor = np.array([_eps_factor(p, 0) for p in params])
+        self.eps_min = self.radius.copy()
+        self.center = np.zeros((n, d))
+        self.prediction = np.zeros((n, d))
+        self.grad_sum = np.zeros((n, d))
+        self.v2 = np.zeros(n)
+        self.b_hat = np.zeros(n)
+        self.theta_bar_sum = np.zeros((n, d))
+        self.theta_tilde = np.zeros((n, d))
+        # a'/b' of (session i, window w) at flat index i * width + w; zero
+        # marks a pair not tabulated yet (both are positive).
+        self.width = T + 1
+        self.tabulated: list[int] = []
+        self.a_table = np.zeros(0)
+        self.b_table = np.zeros(0)
+        self._grow_tables(1)
+
+    def step(self, t: int, x: np.ndarray, y: float) -> None:
+        theta_hat = self.prediction
+        # One ddot per row, as in float(x @ theta); a matrix-vector product
+        # rounds differently.
+        coef = 2.0 * (np.vecdot(theta_hat, x) - y)
+        grad = coef[:, None] * x
+        linf = np.abs(grad).max(axis=1)
+        self.theta_bar_sum += theta_hat
+        # EGState.update leaves a row with a zero gradient unchanged.
+        if linf.all():
+            self._eg_update(slice(None), grad, linf, t)
+        elif linf.any():
+            rows = np.flatnonzero(linf)
+            self._eg_update(rows, grad[rows], linf[rows], t)
+
+        window = (t + 1) - self.start
+        a_p, b_p = self._inflated(self.session * self.width + window)
+        err = a_p * np.sqrt(self.v2) + b_p * self.B
+        eps = 2.0 * np.sqrt(self.eps_factor * err / (self.alpha * window))
+
+        better = eps < self.eps_min
+        if better.any():
+            np.divide(self.theta_bar_sum, window[:, None],
+                      out=self.theta_tilde, where=better[:, None])
+            np.minimum(self.eps_min, eps, out=self.eps_min)
+        closing = eps <= self.next_radius
+        if closing.any():
+            for r in np.flatnonzero(closing).tolist():
+                self._close(r, t, int(window[r]), float(eps[r]))
+
+    def _eg_update(self, rows, grad: np.ndarray, linf: np.ndarray,
+                   t: int) -> None:
+        v2 = self.v2[rows] + linf * linf
+        if not math.isfinite(v2.max()):
+            raise ValueError(f"non-finite square-loss gradient at sample {t}")
+        b_hat = np.maximum(self.b_hat[rows], linf)
+        grad_sum = self.grad_sum[rows] + grad
+        self.v2[rows] = v2
+        self.b_hat[rows] = b_hat
+        self.grad_sum[rows] = grad_sum
+        radius = self.radius[rows]
+        eta = np.minimum(1.0 / (radius * b_hat),
+                         self.root_log_2d / (radius * np.sqrt(v2)))
+        step = (eta * radius)[:, None] * grad_sum
+        log_w = np.concatenate((-step, step), axis=1)
+        log_w -= log_w.max(axis=1, keepdims=True)
+        # The max of log_w is now 0, so this is the prediction refresh's
+        # exp(log_w - max(log_w)).
+        w = np.exp(log_w)
+        scale = radius / w.sum(axis=1)
+        d = self.d
+        self.prediction[rows] = (self.center[rows]
+                                 + scale[:, None] * (w[:, :d] - w[:, d:]))
+
+    def _inflated(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``a'`` and ``b'`` at the flat (session, window) indices ``k``."""
+        a_p, b_p = self.a_table[k], self.b_table[k]
+        if not b_p.all():
+            for key in set(k[b_p == 0.0].tolist()):
+                self._tabulate(*divmod(key, self.width))
+            a_p, b_p = self.a_table[k], self.b_table[k]
+        return a_p, b_p
+
+    def _tabulate(self, i: int, window: int) -> None:
+        # Extend session i's prefix of windows at least to ``window``,
+        # doubling it so a session is tabulated O(log T) times.
+        done = self.tabulated[i]
+        last = min(self.width - 1, max(window, 2 * done))
+        delta_session = delta_i(self.delta, i + 1)
+        cert = self.certificate
+        for w in range(done + 1, last + 1):
+            self.a_table[i * self.width + w] = a_prime(cert.a, w,
+                                                       delta_session)
+            self.b_table[i * self.width + w] = b_prime(cert.b, w,
+                                                       delta_session)
+        self.tabulated[i] = last
+
+    def _grow_tables(self, sessions: int) -> None:
+        grow = sessions - len(self.tabulated)
+        if grow > 0:
+            grow = max(grow, len(self.tabulated))
+            self.tabulated += [0] * grow
+            self.a_table = np.concatenate(
+                (self.a_table, np.zeros(grow * self.width)))
+            self.b_table = np.concatenate(
+                (self.b_table, np.zeros(grow * self.width)))
+
+    def _close(self, r: int, t: int, window: int, eps: float) -> None:
+        """Close row ``r``'s session at step ``t``, cascade included."""
+        p = self.params[r]
+        center = truncate_top(self.theta_bar_sum[r] / window, p.d0)
+        i = int(self.session[r]) + 1
+        while p.d0 > 0 and eps <= _session_radius(p, i + 1):
+            i += 1
+        self._grow_tables(i + 1)
+        self.session[r] = i
+        self.start[r] = t + 1
+        self.radius[r] = _session_radius(p, i)
+        self.next_radius[r] = _session_radius(p, i + 1)
+        self.eps_factor[r] = _eps_factor(p, i)
+        self.center[r] = center
+        # A fresh subroutine's uniform weights predict its center.
+        self.prediction[r] = center
+        self.grad_sum[r] = 0.0
+        self.v2[r] = 0.0
+        self.b_hat[r] = 0.0
+        self.theta_bar_sum[r] = 0.0
 
 
 # ============================================================

@@ -22,7 +22,8 @@ from saew.calibration import (
     zero_predictor,
 )
 from saew.core import ProblemParams
-from saew.engine import saew_estimators, saew_init, saew_step
+from saew.engine import (saew_estimators, saew_fit_square, saew_init,
+                         saew_step)
 from saew.losses import make_square_env
 
 
@@ -333,6 +334,32 @@ def test_fitted_candidates_off_the_origin_reproducible_from_prefix():
     assert np.any(state.theta_matrix)
 
 
+def test_non_degenerate_grid_rows_are_prefix_replicas():
+    # d=10, T=255 with exponents in [-2, 4]: 858,851 candidate-steps, and
+    # the fitted estimators leave the origin.
+    d, T, clamp = 10, 255, (-2, 4)
+    assert grid_cost(T, d, 2.0, clamp) == 858_851
+    env = make_square_env(d=d, d0=2, noise_sd=0.1, seed=1)
+    state = run_calibration(env.draw, T=T, d=d, Y=2.0, delta=0.05,
+                            exponent_clamp=clamp)
+    assert state.j == 8
+    assert np.count_nonzero(np.any(state.theta_matrix, axis=1)) > 100
+    xs, ys = env.draw(T)
+    checked = [k for k, e in enumerate(state.candidates)
+               if not e.is_null][::50]
+    assert any(state.candidates[k].d0 > d for k in checked)
+    for k in checked:
+        entry = state.candidates[k]
+        replica = saew_init(ProblemParams(
+            d0=min(entry.d0, d), alpha=entry.alpha, U=entry.U, B=entry.B,
+            delta=session_delta(0.05, 8)), d)
+        for x, y in zip(xs, ys.tolist()):
+            saew_step(replica,
+                      lambda theta: 2.0 * (float(x @ theta) - y) * x)
+        np.testing.assert_array_equal(state.theta_matrix[k],
+                                      saew_estimators(replica)[1])
+
+
 def test_nominal_sparsity_above_dimension_is_usable():
     # d=3 puts d0=4 in the grid; the wrapper runs it at effective d0=3.
     grid = build_grid(0, d=3, Y=1.0)
@@ -361,22 +388,24 @@ def test_grid_cost_single_step():
     assert grid_cost(1, 2, 1.0) == nonnull
 
 
-def _count_saew_steps(monkeypatch):
+def _count_candidate_steps(monkeypatch):
+    # Candidates train in saew_fit_square, one wrapper step per fitted
+    # candidate and history sample.
     import saew.calibration
 
     calls = [0]
 
-    def counting(state, oracle):
-        calls[0] += 1
-        return saew_step(state, oracle)
+    def counting(params, d, xs, ys):
+        calls[0] += len(params) * len(xs)
+        return saew_fit_square(params, d, xs, ys)
 
-    monkeypatch.setattr(saew.calibration, "saew_step", counting)
+    monkeypatch.setattr(saew.calibration, "saew_fit_square", counting)
     return calls
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 15, 16, 31, 32, 33])
 def test_grid_cost_counts_the_candidate_steps_run(T, monkeypatch):
-    calls = _count_saew_steps(monkeypatch)
+    calls = _count_candidate_steps(monkeypatch)
     env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=4)
     run_calibration(env.draw, T=T, d=2, Y=2.0, delta=0.1,
                     exponent_clamp=(-1, 1))
@@ -384,7 +413,7 @@ def test_grid_cost_counts_the_candidate_steps_run(T, monkeypatch):
 
 
 def test_candidates_train_only_when_a_session_closes(monkeypatch):
-    calls = _count_saew_steps(monkeypatch)
+    calls = _count_candidate_steps(monkeypatch)
     env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=4)
     xs, ys = env.draw(40)
     state = calibration_init(d=2, Y=2.0, delta=0.1, exponent_clamp=(-1, 1))

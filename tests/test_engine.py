@@ -1,5 +1,6 @@
 """Tests for the acceleration wrapper (sessions, radii, estimators)."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,11 +18,13 @@ from saew.bounds import (
     radius_bound,
     session_length_bound,
 )
+from saew.calibration import build_grid
 from saew.core import BALL_TOL, L1Ball, ProblemParams, ball_contains, l1_norm
 from saew.engine import (
     SNAPSHOT_VERSION,
     SaewState,
     saew_estimators,
+    saew_fit_square,
     saew_init,
     saew_restore,
     saew_snapshot,
@@ -678,3 +681,117 @@ def test_snapshot_rejects_session_start_after_t(snapshot_doc):
     doc["session_start"] = doc["session_starts"][-1] = doc["t"] + 1
     with pytest.raises(ValueError, match="session_start"):
         saew_restore(doc)
+
+
+# ============================================================
+# Batched square-loss fit against independent wrapper runs
+# ============================================================
+
+def _replica_states(params, d, xs, ys, zero_steps=None):
+    """One ``saew_step`` run per parameter set over the history; records
+    ``(replica, step)`` pairs whose gradient was zero in ``zero_steps``."""
+    states = []
+    for r, p in enumerate(params):
+        state = saew_init(p, d)
+        for k, (x, y) in enumerate(zip(xs, ys.tolist()), 1):
+            grad = 2.0 * (float(x @ state.optimizer.predict()) - y) * x
+            if zero_steps is not None and not grad.any():
+                zero_steps.add((r, k))
+            saew_step(state, lambda theta: 2.0 * (float(x @ theta) - y) * x)
+        states.append(state)
+    return states
+
+
+def _assert_fit_matches_replicas(params, d, xs, ys, zero_steps=None):
+    theta_tilde, session = saew_fit_square(params, d, xs, ys)
+    states = _replica_states(params, d, xs, ys, zero_steps)
+    np.testing.assert_array_equal(
+        theta_tilde, np.array([saew_estimators(s)[1] for s in states]))
+    np.testing.assert_array_equal(session, [s.session for s in states])
+    return theta_tilde, states
+
+
+def _grid_params(j, d, clamp, delta=0.01):
+    # Calibration's candidates: d0 above d runs at d.
+    return [ProblemParams(d0=min(e.d0, d), alpha=e.alpha, U=e.U, B=e.B,
+                          delta=delta)
+            for e in build_grid(j, d, 2.0, clamp) if not e.is_null]
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+@pytest.mark.parametrize("clamp", [(0, 0), (-1, 1), (2, 4)])
+def test_fit_square_matches_independent_wrappers(d, clamp):
+    env = make_square_env(d=d, d0=1, noise_sd=0.2, seed=d)
+    xs, ys = env.draw(31)
+    xs[0] = xs[17] = 0.0  # zero gradients: a fresh and a running session
+    params = _grid_params(5, d, clamp)
+    # Narrow clamps close no session in 31 samples; copies with a larger
+    # alpha do.
+    params += [dataclasses.replace(p, alpha=256.0 * p.alpha) for p in params]
+    theta_tilde, states = _assert_fit_matches_replicas(params, d, xs, ys)
+    assert any(s.session > 1 for s in states)
+    assert np.any(theta_tilde)
+
+
+def test_fit_square_cascades_and_partly_zero_gradients():
+    # Step 1 closes the large-alpha sessions at the zero average (alpha=1e8
+    # several at once), so on step 2 (y = 0) those rows predict 0 and get a
+    # zero gradient while the other rows do not.  With d0=1, alpha=960 the
+    # row has just opened session 1 and keeps it through step 2: it takes
+    # its zero gradient with v2 = 0.
+    d = 3
+    env = make_square_env(d=d, d0=1, noise_sd=0.2, seed=8)
+    xs, ys = env.draw(40)
+    xs[0], ys[0] = [1.0, 0.0, 0.0], 1.0
+    xs[1], ys[1] = [1.0, 0.5, 0.0], 0.0
+    params = [ProblemParams(d0=d0, alpha=alpha, U=1.0, B=4.0, delta=0.05)
+              for d0 in (1, 3) for alpha in (1e8, 960.0, 50.0, 1.0)]
+    zero_steps = set()
+    _, states = _assert_fit_matches_replicas(params, d, xs, ys, zero_steps)
+    assert {r for r, k in zero_steps if k == 2} == {0, 1, 4}
+    for s in states[0], states[4]:
+        assert s.session_starts[1] == s.session_starts[2] == 2
+    assert states[1].session_starts[:2] == [1, 2]
+    assert states[1].session_starts[2] > 3
+
+
+def test_fit_square_of_no_wrappers_or_no_history():
+    theta_tilde, session = saew_fit_square([], 2, np.zeros((3, 2)),
+                                           np.zeros(3))
+    assert theta_tilde.shape == (0, 2) and session.shape == (0,)
+    params = [ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)]
+    theta_tilde, session = saew_fit_square(params, 2, [], [])
+    np.testing.assert_array_equal(theta_tilde, np.zeros((1, 2)))
+    np.testing.assert_array_equal(session, [0])
+
+
+def test_fit_square_validation():
+    p = ProblemParams(d0=2, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    xs, ys = np.ones((4, 2)), np.ones(4)
+    with pytest.raises(ValueError, match="d0"):
+        saew_fit_square([p], 1, xs[:, :1], ys)
+    with pytest.raises(ValueError, match="delta"):
+        saew_fit_square([p, dataclasses.replace(p, delta=0.2)], 2, xs, ys)
+    with pytest.raises(ValueError, match="shapes"):
+        saew_fit_square([p], 2, xs, ys[:3])
+    with pytest.raises(ValueError, match="shapes"):
+        saew_fit_square([p], 2, xs.reshape(2, 4), ys)
+    for bad in (np.nan, np.inf):
+        x_bad = xs.copy()
+        x_bad[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            saew_fit_square([p], 2, x_bad, ys)
+        y_bad = ys.copy()
+        y_bad[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            saew_fit_square([p], 2, xs, y_bad)
+
+
+def test_fit_square_rejects_overflowing_gradients_like_saew_step():
+    p = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    xs, ys = np.full((2, 2), 1e200), np.ones(2)
+    with pytest.raises(ValueError, match="finite"):
+        with np.errstate(over="ignore"):
+            saew_fit_square([p], 2, xs, ys)
+    with pytest.raises(ValueError, match="finite"):
+        _replica_states([p], 2, xs, ys)
