@@ -19,6 +19,7 @@ import math
 import warnings
 
 from saew.core import ProblemParams
+from saew.subroutine import RegretCertificate
 
 
 # ============================================================

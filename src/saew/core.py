@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -29,8 +29,8 @@ DenseVector = np.ndarray
 BASE_COLUMNS = ("t", "l2_error", "risk_hat", "risk_tilde", "cum_risk",
                 "epsilon", "session")
 
-# Columns formatted as integers in CSV output.
-_INT_COLUMNS = frozenset({"t", "session"})
+# Columns written as integers by write_table.
+_INT_COLUMNS = frozenset({"t", "session", "seed"})
 
 
 # ============================================================
@@ -152,16 +152,19 @@ class Environment:
 class RunRecord:
     """Per-step metrics for one run plus reproducibility metadata.
 
-    Rows follow ``columns``, which always starts with the canonical schema
-    ``t, l2_error, risk_hat, risk_tilde, cum_risk, epsilon, session``;
-    optional extras (e.g. ``risk_se`` or bound traces) come after.
+    ``rows`` is one ``(T, len(columns))`` float64 array, built in
+    ``__post_init__`` from any rows-by-columns input; :meth:`column` reads
+    one metric by name.  ``columns`` always starts with the canonical
+    schema ``t, l2_error, risk_hat, risk_tilde, cum_risk, epsilon,
+    session``; optional extras (e.g. ``risk_se`` or bound traces) come
+    after.
 
     Invariants (checked by :meth:`validate`): ``t`` runs ``1, 2, 3, ...``
     and cumulative excess risk is nondecreasing.
     """
 
     columns: tuple[str, ...]
-    rows: list[tuple[float, ...]]
+    rows: np.ndarray
     seed: int
     config_hash: str
 
@@ -170,39 +173,40 @@ class RunRecord:
         if self.columns[: len(BASE_COLUMNS)] != BASE_COLUMNS:
             raise ValueError(
                 f"run record columns must start with {','.join(BASE_COLUMNS)}")
+        rows = np.array(self.rows, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, len(self.columns))
+        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            raise ValueError(f"rows must form a (T, {len(self.columns)}) "
+                             f"table, got shape {rows.shape}")
+        self.rows = rows
+
+    def column(self, name: str) -> np.ndarray:
+        """The per-step values of column ``name`` (a view into ``rows``)."""
+        return self.rows[:, self.columns.index(name)]
 
     def validate(self) -> None:
         """Raise ``ValueError`` if a structural invariant is broken."""
-        t_col = self.columns.index("t")
-        cum_col = self.columns.index("cum_risk")
-        prev_cum = -np.inf
-        for k, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {k} has {len(row)} fields, "
-                                 f"expected {len(self.columns)}")
-            if int(row[t_col]) != k + 1:
-                raise ValueError(f"row {k}: t must be {k + 1}, got {row[t_col]}")
-            if row[cum_col] < prev_cum - 1e-12:
-                raise ValueError(f"row {k}: cumulative risk decreased "
-                                 f"({prev_cum} -> {row[cum_col]})")
-            prev_cum = row[cum_col]
+        t = self.column("t")
+        bad = np.flatnonzero(t != np.arange(1, len(t) + 1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"row {k}: t must be {k + 1}, got {t[k]}")
+        cum = self.column("cum_risk")
+        bad = np.flatnonzero(cum[1:] < cum[:-1] - 1e-12)
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise ValueError(f"row {k}: cumulative risk decreased "
+                             f"({cum[k - 1]} -> {cum[k]})")
 
     # ---- serialization ------------------------------------------------
 
     def to_csv(self, path: str | Path) -> None:
-        """Write the record to ``path`` and metadata to ``path + '.meta.json'``.
-
-        Numbers use %.12g formatting with a plain decimal point; ``t`` and
-        ``session`` are written as integers.  Output is byte-deterministic.
+        """Write the record to ``path`` (see :func:`write_table`) and the
+        metadata to ``path + '.meta.json'``.  Output is byte-deterministic.
         """
         path = Path(path)
-        lines = [",".join(self.columns)]
-        int_idx = {i for i, c in enumerate(self.columns) if c in _INT_COLUMNS}
-        for row in self.rows:
-            fields = [str(int(v)) if i in int_idx else format(float(v), ".12g")
-                      for i, v in enumerate(row)]
-            lines.append(",".join(fields))
-        path.write_text("\n".join(lines) + "\n")
+        write_table(path, self.columns, self.rows)
         meta = {"seed": self.seed, "config_hash": self.config_hash}
         path.with_suffix(path.suffix + ".meta.json").write_text(
             json.dumps(meta, sort_keys=True) + "\n")
@@ -211,18 +215,33 @@ class RunRecord:
     def from_csv(cls, path: str | Path) -> "RunRecord":
         """Read a record written by :meth:`to_csv` (metadata sidecar optional)."""
         path = Path(path)
-        lines = path.read_text().splitlines()
-        if not lines:
-            raise ValueError(f"{path} is empty")
-        columns = tuple(lines[0].split(","))
-        rows = [tuple(float(f) for f in line.split(",")) for line in lines[1:]]
+        with path.open() as fh:
+            header = fh.readline().rstrip("\n")
+            if not header:
+                raise ValueError(f"{path} is empty")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         seed, config_hash = -1, ""
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
             meta = json.loads(meta_path.read_text())
             seed = int(meta.get("seed", -1))
             config_hash = str(meta.get("config_hash", ""))
-        return cls(columns=columns, rows=rows, seed=seed, config_hash=config_hash)
+        return cls(columns=tuple(header.split(",")), rows=rows, seed=seed,
+                   config_hash=config_hash)
+
+
+def write_table(path: str | Path, columns: Sequence[str],
+                data: np.ndarray) -> None:
+    """Write ``data`` (one row per line) as comma-separated text.
+
+    The first line is the header ``columns``.  The ``t``, ``session`` and
+    ``seed`` columns are written as integers and every other value with
+    ``%.12g`` and a plain decimal point; every line ends in a newline.
+    Every numeric CSV the harness writes goes through here.
+    """
+    fmt = ["%d" if c in _INT_COLUMNS else "%.12g" for c in columns]
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(columns),
+               comments="")
 
 
 # ============================================================

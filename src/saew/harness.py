@@ -22,7 +22,7 @@ import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from saew.core import (
     ProblemParams,
     RunRecord,
     config_hash,
+    write_table,
 )
 from saew.engine import saew_estimators, saew_init, saew_step
 from saew.losses import (
@@ -85,7 +86,7 @@ class ExperimentConfig:
         noise_sd: response noise standard deviation.
         algorithm: ``saew | eg | rda | calibrate``.
         T: horizon (number of stream samples), >= 1.
-        seeds: nonempty tuple of master seeds, one run per seed.
+        seeds: nonempty tuple of distinct master seeds, one run each.
         outdir: output directory; all files are written under it.
         trace_bounds: append per-step bound columns to wrapper run CSVs.
         alpha_q: quantile level (quantile environment only).
@@ -157,6 +158,9 @@ class ExperimentConfig:
             raise ConfigError("T", f"must be >= 1, got {self.T}")
         if not self.seeds:
             raise ConfigError("seeds", "must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds", f"must not repeat a seed, "
+                                       f"got {list(self.seeds)}")
         if not self.outdir:
             raise ConfigError("outdir", "must be nonempty")
         if not (0.0 < self.alpha_q < 1.0):
@@ -245,10 +249,8 @@ class ExperimentConfig:
                 section[field.name] = ""
             elif isinstance(value, bool):
                 section[field.name] = "true" if value else "false"
-            elif isinstance(value, float):
-                section[field.name] = repr(value)
             else:
-                section[field.name] = str(value)
+                section[field.name] = str(value)  # str(float) round-trips
         parser["experiment"] = section
         with open(path, "w") as fh:
             parser.write(fh)
@@ -274,6 +276,7 @@ class ExperimentConfig:
         raw = dict(parser["experiment"])
 
         fields = {f.name: f for f in dataclasses.fields(cls)}
+        kinds = get_type_hints(cls)
         for key in raw:
             if key not in fields:
                 raise ConfigError(key, "unknown config key")
@@ -283,32 +286,25 @@ class ExperimentConfig:
                 if field.default is dataclasses.MISSING:
                     raise ConfigError(name, "required key is missing")
                 continue
-            kwargs[name] = _parse_field(name, raw[name].strip())
+            kwargs[name] = _parse_field(name, kinds[name], raw[name].strip())
         config = cls(**kwargs)
         config.validate()
         return config
 
 
-def _parse_field(name: str, text: str):
-    """Convert one INI value to its typed field, or raise ConfigError."""
+def _parse_field(name: str, kind: type, text: str):
+    """Parse one INI value as the field type ``kind``, or raise ConfigError."""
     try:
-        if name == "seeds":
-            seeds = tuple(int(s) for s in text.split(",") if s.strip())
-            return seeds
-        if name in ("d", "d0", "T", "saew_d0", "cal_budget"):
-            return int(text)
-        if name in ("cal_clamp_lo", "cal_clamp_hi"):
+        if kind == tuple[int, ...]:
+            return tuple(int(s) for s in text.split(",") if s.strip())
+        if kind == (int | None):
             return None if text == "" else int(text)
-        if name in ("trace_bounds", "mc_risk"):
+        if kind is bool:
             lowered = text.lower()
             if lowered not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {text!r}")
             return lowered == "true"
-        if name in ("noise_sd", "alpha_q", "x_bound", "noise_bound_sds",
-                    "alpha", "U", "B", "delta", "rda_gamma", "rda_rho",
-                    "rda_lambda", "cal_Y"):
-            return float(text)
-        return text  # env, algorithm, outdir
+        return kind(text)  # int, float or str
     except ValueError as exc:
         raise ConfigError(name, f"cannot parse value {text!r}: {exc}") from exc
 
@@ -607,24 +603,21 @@ def summarize(records: Sequence[RunRecord]) -> Summary:
     """
     if not records:
         raise ValueError("summarize needs at least one run record")
-    columns = records[0].columns
-    length = len(records[0].rows)
+    first = records[0]
     for record in records[1:]:
-        if record.columns != columns:
+        if (record.columns, len(record.rows)) != (first.columns,
+                                                  len(first.rows)):
             raise ValueError("schema mismatch: run records have different "
-                             f"columns ({record.columns} vs {columns})")
-        if len(record.rows) != length:
-            raise ValueError("schema mismatch: run records have different "
-                             f"lengths ({len(record.rows)} vs {length})")
+                             f"columns or lengths ({record.columns}, "
+                             f"T={len(record.rows)} vs {first.columns}, "
+                             f"T={len(first.rows)})")
 
-    t_col = columns.index("t")
-    l2_col = columns.index("l2_error")
-    cum_col = columns.index("cum_risk")
-    t = np.array([row[t_col] for row in records[0].rows])
-
-    log_l2 = np.array([[math.log(max(row[l2_col], _TINY)) for row in r.rows]
-                       for r in records])
-    cum = np.array([[row[cum_col] for row in r.rows] for r in records])
+    t = first.column("t")
+    l2 = np.array([r.column("l2_error") for r in records])
+    cum = np.array([r.column("cum_risk") for r in records])
+    # Scalar math.log: np.log may differ from it in the last bit.
+    log_l2 = np.array([[math.log(max(v, _TINY)) for v in row]
+                       for row in l2.tolist()])
 
     def aggregates(matrix: np.ndarray) -> dict[str, np.ndarray]:
         return {
@@ -634,15 +627,11 @@ def summarize(records: Sequence[RunRecord]) -> Summary:
             "mean": np.mean(matrix, axis=0),
         }
 
-    finals = []
-    for r, log_row in zip(records, log_l2):
-        l2_series = np.array([row[l2_col] for row in r.rows])
-        finals.append(SeedScalars(
-            seed=r.seed,
-            final_log_l2=float(log_row[-1]),
-            final_cum_risk=float(r.rows[-1][cum_col]),
-            slope=loglog_slope(t, l2_series),
-        ))
+    finals = [SeedScalars(seed=r.seed,
+                          final_log_l2=float(log_row[-1]),
+                          final_cum_risk=float(cum_row[-1]),
+                          slope=loglog_slope(t, l2_row))
+              for r, log_row, cum_row, l2_row in zip(records, log_l2, cum, l2)]
     return Summary(t=t,
                    curves={"log_l2": aggregates(log_l2),
                            "cum_risk": aggregates(cum)},
@@ -655,27 +644,29 @@ _SUMMARY_AGGS = ("median", "q1", "q3", "mean")
 def write_summary(summary: Summary, outdir: str | Path) -> list[Path]:
     """Write ``summary.csv`` (per-t curves) and ``finals.csv`` (scalars)."""
     outdir = Path(outdir)
-    header = ["t"]
+    header, curves = ["t"], [summary.t]
     for metric in ("log_l2", "cum_risk"):
-        header.extend(f"{metric}_{agg}" for agg in _SUMMARY_AGGS)
-    lines = [",".join(header)]
-    for k in range(summary.t.shape[0]):
-        fields = [str(int(summary.t[k]))]
-        for metric in ("log_l2", "cum_risk"):
-            fields.extend(format(float(summary.curves[metric][agg][k]), ".12g")
-                          for agg in _SUMMARY_AGGS)
-        lines.append(",".join(fields))
+        for agg in _SUMMARY_AGGS:
+            header.append(f"{metric}_{agg}")
+            curves.append(summary.curves[metric][agg])
     summary_path = outdir / "summary.csv"
-    summary_path.write_text("\n".join(lines) + "\n")
+    write_table(summary_path, header, np.column_stack(curves))
 
-    lines = ["seed,final_log_l2,final_cum_risk,slope"]
-    for s in summary.finals:
-        lines.append(f"{s.seed},{format(s.final_log_l2, '.12g')},"
-                     f"{format(s.final_cum_risk, '.12g')},"
-                     f"{format(s.slope, '.12g')}")
     finals_path = outdir / "finals.csv"
-    finals_path.write_text("\n".join(lines) + "\n")
+    # Python objects, not float64: a seed may not fit a double exactly.
+    write_table(finals_path, [f.name for f in dataclasses.fields(SeedScalars)],
+                np.array([dataclasses.astuple(s) for s in summary.finals],
+                         dtype=object))
     return [summary_path, finals_path]
+
+
+def _run_csv_paths(outdir: Path) -> list[Path]:
+    """The per-seed run CSVs under ``outdir`` sorted by seed; at least one."""
+    paths = sorted(outdir.glob("run_seed*.csv"),
+                   key=lambda p: int(p.stem.removeprefix("run_seed")))
+    if not paths:
+        raise ValueError(f"no run_seed*.csv files under {outdir}")
+    return paths
 
 
 def load_run_records(outdir: str | Path) -> list[RunRecord]:
@@ -684,12 +675,7 @@ def load_run_records(outdir: str | Path) -> list[RunRecord]:
     Raises:
         ValueError: no run CSVs present.
     """
-    outdir = Path(outdir)
-    paths = sorted(outdir.glob("run_seed*.csv"),
-                   key=lambda p: int(p.stem.removeprefix("run_seed")))
-    if not paths:
-        raise ValueError(f"no run_seed*.csv files under {outdir}")
-    return [RunRecord.from_csv(p) for p in paths]
+    return [RunRecord.from_csv(p) for p in _run_csv_paths(Path(outdir))]
 
 
 # ============================================================
@@ -711,19 +697,21 @@ def emit_plots(outdir: str | Path) -> list[Path]:
 
     * ``plot_l2.gp`` — median log l2 error with quartile band vs log t;
     * ``plot_cum_risk.gp`` — median cumulative excess risk vs t;
-    * ``plot_sessions.gp`` — confidence-radius staircase from the first
-      seed's run: the radius ``eps_t`` and its running minimum above the
-      l2 error curve, with one vertical marker per recorded session
-      start.
+    * ``plot_sessions.gp`` — confidence-radius staircase from the
+      lowest seed's run: the radius ``eps_t`` and its running minimum
+      above the l2 error curve, with one vertical marker at each session
+      start ``t_i <= T``.  The sessions of a zero-length cascade start at
+      the same ``t_i`` and share one marker.
 
     Requires ``summary.csv`` and at least one ``run_seed*.csv`` in
-    ``outdir`` (produced by :func:`run_experiment`).
+    ``outdir`` (produced by :func:`run_experiment`); only the lowest
+    seed's run CSV is read.
     """
     outdir = Path(outdir)
     if not (outdir / "summary.csv").exists():
         raise ValueError(f"{outdir} has no summary.csv; run the experiment "
                          "or `summarize` first")
-    records = load_run_records(outdir)
+    record = RunRecord.from_csv(_run_csv_paths(outdir)[0])
     paths = []
 
     l2_script = _GP_HEADER.format(name="plot_l2.gp") + (
@@ -751,30 +739,21 @@ def emit_plots(outdir: str | Path) -> list[Path]:
     path.write_text(risk_script)
     paths.append(path)
 
-    paths.extend(_emit_session_plot(outdir, records[0]))
+    paths.extend(_emit_session_plot(outdir, record))
     return paths
 
 
 def _emit_session_plot(outdir: Path, record: RunRecord) -> list[Path]:
     """Staircase data + script for one run's session radii."""
-    cols = record.columns
-    t_col, l2_col = cols.index("t"), cols.index("l2_error")
-    eps_col, ses_col = cols.index("epsilon"), cols.index("session")
-
-    lines = ["t,l2_error,epsilon,eps_min"]
-    eps_min = math.inf
-    session_starts = []
-    prev_session = 0.0
-    for row in record.rows:
-        eps_min = min(eps_min, row[eps_col])
-        if row[ses_col] != prev_session:
-            session_starts.append(int(row[t_col]))
-            prev_session = row[ses_col]
-        lines.append(f"{int(row[t_col])},{format(row[l2_col], '.12g')},"
-                     f"{format(row[eps_col], '.12g')},"
-                     f"{format(eps_min, '.12g')}")
+    t, eps = record.column("t"), record.column("epsilon")
     data_path = outdir / "sessions.dat"
-    data_path.write_text("\n".join(lines) + "\n")
+    write_table(data_path, ("t", "l2_error", "epsilon", "eps_min"),
+                np.column_stack([t, record.column("l2_error"), eps,
+                                 np.minimum.accumulate(eps)]))
+    # The session column changes on the step that closes a session; the
+    # next session starts one step later.
+    closes = t[np.diff(record.column("session"), prepend=0.0) != 0]
+    session_starts = [int(t_i) for t_i in closes + 1 if t_i <= len(t)]
 
     script = _GP_HEADER.format(name="plot_sessions.gp") + (
         "set output 'sessions.svg'\n"

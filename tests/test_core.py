@@ -14,6 +14,7 @@ from saew.core import (
     config_hash,
     excess_l2,
     l1_norm,
+    write_table,
 )
 
 
@@ -227,6 +228,27 @@ def test_run_record_validate_rejects_decreasing_cum_risk():
 def test_run_record_requires_canonical_column_prefix():
     with pytest.raises(ValueError):
         RunRecord(columns=("t", "l2_error"), rows=[], seed=0, config_hash="")
+
+
+def test_run_record_rows_form_one_column_array():
+    rows = [(1, 0.5, 0.2, 0.2, 0.2, 1.0, 0),
+            (2, 0.4, 0.1, 0.1, 0.3, 0.9, 1)]
+    rec = _record(rows)
+    assert rec.rows.shape == (2, len(BASE_COLUMNS))
+    assert rec.rows.dtype == np.float64
+    np.testing.assert_array_equal(rec.column("cum_risk"), [0.2, 0.3])
+    assert rec.rows[-1][rec.columns.index("session")] == 1.0
+    with pytest.raises(ValueError, match="table"):
+        _record([row[:-1] for row in rows])
+
+
+def test_write_table_formats_integer_and_float_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ("t", "x", "session", "seed"),
+                np.array([[1.0, 1 / 3, 0.0, 7.0], [2.0, -2.5e-300, 3.0, 7.0]]))
+    assert path.read_text() == ("t,x,session,seed\n"
+                                "1,0.333333333333,0,7\n"
+                                "2,-2.5e-300,3,7\n")
 
 
 def test_run_record_csv_round_trip(tmp_path):

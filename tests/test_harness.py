@@ -28,7 +28,7 @@ from saew.harness import (
     summarize,
     write_summary,
 )
-from saew.losses import pinball_subgrad, true_excess_risk
+from saew.losses import pinball_subgrad, square_grad, true_excess_risk
 from saew.subroutine import eg_init
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -110,6 +110,7 @@ def test_config_missing_required_key_is_named(tmp_path):
     ("alpha_q", 1.2, "alpha_q"),
     ("U", -1.0, "U"),
     ("cal_clamp_lo", 5, "cal_clamp_lo"),  # without matching hi
+    ("seeds", (1, 1, 2), "seeds"),  # a repeated seed
 ])
 def test_validate_names_offending_key(tmp_path, field, value, key):
     cfg = dataclasses.replace(_config(tmp_path), **{field: value})
@@ -412,6 +413,15 @@ def test_summary_medians_across_seeds():
                                np.log(2.0 / t))
 
 
+def test_finals_keep_seeds_beyond_double_precision(tmp_path):
+    t = np.arange(1, 11)
+    seed = 2 ** 60 + 1  # not exactly representable as a float64
+    write_summary(summarize([_synthetic_record(t, 1.0 / t, seed=seed)]),
+                  tmp_path)
+    finals = (tmp_path / "finals.csv").read_text().splitlines()
+    assert finals[1].split(",")[0] == str(seed)
+
+
 # ============================================================
 # emit_plots
 # ============================================================
@@ -436,6 +446,18 @@ def test_staircase_has_one_marker_per_session_start(session_run_dir):
     assert transitions >= 1  # the fixture must actually open sessions
     script = (session_run_dir / "plot_sessions.gp").read_text()
     assert script.count("set arrow") == transitions
+    # Each marker sits at a session start t_i <= T of a saew_step replay.
+    cfg = ExperimentConfig.from_ini(session_run_dir / "config.ini")
+    env = build_environment(cfg, record.seed)
+    params = ProblemParams(d0=cfg.wrapper_d0(), alpha=cfg.alpha, U=cfg.U,
+                           B=cfg.B, delta=cfg.delta)
+    state = saew_init(params, env.dimension)
+    for x, y in zip(*env.draw(cfg.T)):
+        saew_step(state, lambda theta: square_grad(theta, x, float(y)))
+    starts = sorted({t_i for t_i in state.session_starts[1:] if t_i <= cfg.T})
+    arrows = [int(line.split()[3].rstrip(","))
+              for line in script.splitlines() if line.startswith("set arrow")]
+    assert arrows == starts
 
 
 def test_plot_scripts_reference_only_relative_paths(session_run_dir):
