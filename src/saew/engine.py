@@ -27,7 +27,7 @@ from saew.bounds import a_prime, b_prime, delta_i, err_bound, radius_bound
 from saew.core import DenseVector, L1Ball, ProblemParams
 from saew.subroutine import EGState, RegretCertificate, eg_certificate, eg_init
 
-SNAPSHOT_VERSION = "saew-state-v2"
+SNAPSHOT_VERSION = "saew-state-v3"
 
 GradientOracle = Callable[[DenseVector], DenseVector]
 
@@ -78,9 +78,6 @@ class SaewState:
         params: problem constants (sparsity, strong convexity, ball radius,
             gradient bound, confidence level).
         certificate: the subroutine's regret certificate ``(a, b)``.
-        session: current session index ``i >= 0``.
-        session_start: global step index at which the session began (the
-            history's last entry).
         t: index of the NEXT step to execute (1-based; ``t - 1`` steps done).
         optimizer: active subroutine instance for the current session, in
             the ball of radius exactly ``U * 2**(-i/2)``.
@@ -94,13 +91,13 @@ class SaewState:
         theta_bar_sum: sum of the current session's predictions; the
             session average is this sum over the window length.
         theta_tilde: session average frozen at the eps-argmin step.
-        session_starts: history of session start times ``t_i``.
+        session_starts: history of session start times ``t_i``; its
+            length less one is the session index ``session`` and its last
+            entry the session start ``session_start``.
     """
 
     params: ProblemParams
     certificate: RegretCertificate
-    session: int
-    session_start: int
     t: int
     optimizer: EGState
     err_t: float
@@ -112,6 +109,14 @@ class SaewState:
     theta_bar_sum: np.ndarray
     theta_tilde: np.ndarray
     session_starts: list[int]
+
+    @property
+    def session(self) -> int:
+        return len(self.session_starts) - 1
+
+    @property
+    def session_start(self) -> int:
+        return self.session_starts[-1]
 
 
 def _session_radius(params: ProblemParams, i: int) -> float:
@@ -149,8 +154,6 @@ def saew_init(params: ProblemParams, d: int,
     return SaewState(
         params=params,
         certificate=certificate,
-        session=0,
-        session_start=1,
         t=1,
         optimizer=eg_init(L1Ball(np.zeros(d), params.U), params.B),
         err_t=0.0,
@@ -168,8 +171,6 @@ def saew_init(params: ProblemParams, d: int,
 def _open_next_session(state: SaewState, center: DenseVector) -> None:
     """Close the current session and start the next one at ``t_i = state.t``
     in the ball around ``center``."""
-    state.session += 1
-    state.session_start = state.t
     state.session_starts.append(state.t)
     ball = L1Ball(center, _session_radius(state.params, state.session))
     state.optimizer = eg_init(ball, state.params.B)
@@ -451,27 +452,20 @@ class _SquareBank:
 # Snapshot / restore
 # ============================================================
 
+_FLOATS = ("err_t", "a_prime_t", "b_prime_t", "eps_t")
+
+
 def saew_snapshot(state: SaewState) -> dict:
-    """Serialize the full state to a JSON-ready versioned document."""
+    """Serialize the state to a JSON-ready versioned document, leaving out
+    the facts :func:`saew_restore` derives from the others."""
     opt = state.optimizer
     return {
         "version": SNAPSHOT_VERSION,
-        "params": {
-            "d0": state.params.d0,
-            "alpha": state.params.alpha,
-            "U": state.params.U,
-            "B": state.params.B,
-            "delta": state.params.delta,
-        },
+        "params": dataclasses.asdict(state.params),
         "dimension": opt.ball.dimension,
-        "certificate": {"a": state.certificate.a, "b": state.certificate.b},
-        "session": state.session,
-        "session_start": state.session_start,
+        "certificate": dataclasses.asdict(state.certificate),
         "t": state.t,
-        "err_t": state.err_t,
-        "a_prime_t": state.a_prime_t,
-        "b_prime_t": state.b_prime_t,
-        "eps_t": state.eps_t,
+        **{name: getattr(state, name) for name in _FLOATS},
         "eps_min": state.eps_min,
         "eps_argmin": state.eps_argmin,
         "theta_bar_sum": state.theta_bar_sum.tolist(),
@@ -479,79 +473,78 @@ def saew_snapshot(state: SaewState) -> dict:
         "session_starts": list(state.session_starts),
         "optimizer": {
             "center": opt.ball.center.tolist(),
-            "radius": opt.ball.radius,
-            "B": opt.B,
-            "log_w": opt.log_w.tolist(),
             "grad_sum": opt.grad_sum.tolist(),
             "v2": opt.v2,
             "b_hat": opt.b_hat,
-            "t": opt.t,
         },
     }
 
 
-def _vector(values, name: str, length: int) -> np.ndarray:
-    v = np.array(values, float)
-    if v.shape != (length,):
-        raise ValueError(f"snapshot {name} has shape {v.shape}, "
-                         f"expected ({length},)")
-    return v
+def _read(doc: dict, field: str, convert: Callable = float, rule: str = "",
+          valid: Callable = lambda value: True):
+    """Snapshot ``field`` (a dotted path) passed through ``convert``; a
+    missing or unconvertible value, or one ``valid`` rejects, is a
+    ``ValueError`` naming the field (and ``rule``, what it must satisfy)."""
+    value = doc
+    try:
+        for key in field.split("."):
+            value = value[key]
+        value = convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot {field} is missing or malformed "
+                         f"({exc})") from None
+    if not valid(value):
+        raise ValueError(f"snapshot {field} must {rule}, got {value!r}")
+    return value
 
 
 def saew_restore(doc: dict) -> SaewState:
     """Rebuild a state from a snapshot document.
 
+    The facts :func:`saew_snapshot` leaves out are derived again; only
+    the stored fields are checked.
+
     Raises:
-        ValueError: unknown snapshot version, or a malformed or
-            inconsistent document (the message names the bad field).
+        ValueError: unknown snapshot version, or a missing, malformed or
+            out-of-range field (the message names it).
     """
-    version = doc.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version: {version!r} "
-                         f"(expected {SNAPSHOT_VERSION!r})")
-    params = ProblemParams(**doc["params"])
-    d = int(doc["dimension"])
-    session = int(doc["session"])
-    session_start, t = int(doc["session_start"]), int(doc["t"])
-    session_starts = [int(s) for s in doc["session_starts"]]
-    eps_min = float(doc["eps_min"])
-    o = doc["optimizer"]
-    log_w = _vector(o["log_w"], "optimizer.log_w", 2 * d)
-    if not np.all(np.isfinite(log_w)):
-        raise ValueError("snapshot optimizer.log_w must be finite")
-    radius = float(o["radius"])
-    if radius != _session_radius(params, session):
-        raise ValueError(f"snapshot optimizer.radius {radius!r} is not "
-                         f"U*2**(-session/2) for session {session}")
-    if not (session_starts and session_starts[-1] == session_start <= t):
-        raise ValueError(f"snapshot session_start {session_start} must equal "
-                         f"session_starts[-1] and be <= t={t}")
-    if eps_min > params.U:
-        raise ValueError(f"snapshot eps_min {eps_min!r} exceeds U={params.U!r}")
+    _read(doc, "version", str, f"be {SNAPSHOT_VERSION!r}",
+          lambda v: v == SNAPSHOT_VERSION)
+    params = _read(doc, "params", lambda v: ProblemParams(**v))
+    d = _read(doc, "dimension", int, "be >= 1", lambda v: v >= 1)
+    t = _read(doc, "t", int, "be >= 1", lambda v: v >= 1)
+    session_starts = _read(
+        doc, "session_starts", lambda v: [int(s) for s in v],
+        f"start at 1, never decrease and end at or before t={t}",
+        lambda s: (s and s[0] == 1 and s[-1] <= t
+                   and all(a <= b for a, b in zip(s, s[1:]))))
+    vector = dict(convert=lambda v: np.array(v, float),
+                  rule=f"hold {d} finite numbers",
+                  valid=lambda v: v.shape == (d,) and np.isfinite(v).all())
+    b_hat = _read(doc, "optimizer.b_hat", rule="be finite and >= 0",
+                  valid=lambda v: 0.0 <= v < math.inf)
     optimizer = EGState(
-        ball=L1Ball(_vector(o["center"], "optimizer.center", d), radius),
-        B=float(o["B"]),
-        log_w=log_w,
-        grad_sum=_vector(o["grad_sum"], "optimizer.grad_sum", d),
-        v2=float(o["v2"]),
-        b_hat=float(o["b_hat"]),
-        t=int(o["t"]),
+        ball=L1Ball(_read(doc, "optimizer.center", **vector),
+                    _session_radius(params, len(session_starts) - 1)),
+        B=params.B,
+        grad_sum=_read(doc, "optimizer.grad_sum", **vector),
+        # The sum of squared sup-norms includes the largest one squared.
+        v2=_read(doc, "optimizer.v2", rule="be finite and >= b_hat**2",
+                 valid=lambda v: b_hat * b_hat <= v < math.inf),
+        b_hat=b_hat,
+        t=t - session_starts[-1],
     )
-    cert = doc["certificate"]
     return SaewState(
         params=params,
-        certificate=RegretCertificate(float(cert["a"]), float(cert["b"])),
-        session=session,
-        session_start=session_start,
+        certificate=_read(doc, "certificate",
+                          lambda v: RegretCertificate(**v)),
         t=t,
         optimizer=optimizer,
-        err_t=float(doc["err_t"]),
-        a_prime_t=float(doc["a_prime_t"]),
-        b_prime_t=float(doc["b_prime_t"]),
-        eps_t=float(doc["eps_t"]),
-        eps_min=eps_min,
-        eps_argmin=int(doc["eps_argmin"]),
-        theta_bar_sum=_vector(doc["theta_bar_sum"], "theta_bar_sum", d),
-        theta_tilde=_vector(doc["theta_tilde"], "theta_tilde", d),
+        **{name: _read(doc, name) for name in _FLOATS},
+        eps_min=_read(doc, "eps_min", rule=f"be <= U={params.U!r}",
+                      valid=lambda v: v <= params.U),
+        eps_argmin=_read(doc, "eps_argmin", int),
+        theta_bar_sum=_read(doc, "theta_bar_sum", **vector),
+        theta_tilde=_read(doc, "theta_tilde", **vector),
         session_starts=session_starts,
     )

@@ -58,27 +58,23 @@ class EGState:
     """Exponential-weights forecaster over the ``2d`` corners of an l1-ball.
 
     Corner order is ``center + radius*e_1, ..., center + radius*e_d,
-    center - radius*e_1, ..., center - radius*e_d``.  Weights are stored as
-    unnormalized log-weights (``log_w``) and renormalized by max-subtraction
-    so they never under/overflow.
+    center - radius*e_1, ..., center - radius*e_d``.  The weights follow
+    from ``grad_sum``, ``v2``, ``b_hat`` and the radius (see :meth:`update`);
+    the prediction is computed from them at construction and after each
+    update, and :meth:`predict` returns it.
 
     Attributes:
         ball: the prediction domain.
         B: declared sup-norm gradient bound (used only for validation
             warnings; the learning rate trusts the observed running max).
-        log_w: unnormalized log-weights over the ``2d`` corners.
-        grad_sum: cumulative sum of observed gradients (drives ``log_w``).
+        grad_sum: cumulative sum of observed gradients (drives the weights).
         v2: running sum of squared sup-norms of observed gradients.
         b_hat: running max of observed gradient sup-norms.
         t: number of ``update`` calls observed.
-
-    The prediction is computed at construction and after each weight
-    change, and :meth:`predict` returns it.
     """
 
     ball: L1Ball
     B: float
-    log_w: np.ndarray
     grad_sum: np.ndarray = None  # type: ignore[assignment]
     v2: float = 0.0
     b_hat: float = 0.0
@@ -100,6 +96,19 @@ class EGState:
         """
         return self._prediction
 
+    def _log_weights(self) -> np.ndarray:
+        """Corner log-weights in a ball of positive radius, shifted so their
+        max is 0; all zero before the first nonzero gradient."""
+        d, radius = self.ball.dimension, self.ball.radius
+        if self.b_hat == 0.0:
+            return np.zeros(2 * d)
+        eta = min(1.0 / (radius * self.b_hat),
+                  math.sqrt(math.log(2 * d)) / (radius * math.sqrt(self.v2)))
+        step = (eta * radius) * self.grad_sum
+        log_w = np.concatenate((-step, step))
+        log_w -= np.max(log_w)
+        return log_w
+
     def _refresh_prediction(self) -> None:
         # A new array each time: callers may still hold the previous one.
         center, radius = self.ball.center, self.ball.radius
@@ -107,7 +116,8 @@ class EGState:
             prediction = center.copy()
         else:
             d = self.ball.dimension
-            w = np.exp(self.log_w - np.max(self.log_w))
+            # The max log-weight is 0, so this is exp(log_w - max(log_w)).
+            w = np.exp(self._log_weights())
             scale = radius / w.sum()
             prediction = center + scale * (w[:d] - w[d:])
         prediction.setflags(write=False)
@@ -133,6 +143,10 @@ class EGState:
 
         Raises:
             ValueError: non-finite gradient or dimension mismatch.
+
+        Warns:
+            RuntimeWarning: once per instance, at the first gradient whose
+                sup-norm exceeds ``B`` (the running max is ``b_hat``).
         """
         gradient = np.asarray(gradient, dtype=float)
         if gradient.shape != self.ball.center.shape:
@@ -144,24 +158,15 @@ class EGState:
         linf = float(np.max(np.abs(gradient)))
         if linf == 0.0:
             return self
-        if linf > self.B:
+        if self.b_hat <= self.B < linf:
             warnings.warn(
-                f"observed gradient sup-norm {linf:.6g} exceeds the declared "
-                f"bound B={self.B:.6g}; continuing with the running max",
+                "observed gradient sup-norm exceeds the declared bound B; "
+                "continuing with the running max",
                 RuntimeWarning, stacklevel=2)
         self.b_hat = max(self.b_hat, linf)
         self.v2 += linf * linf
         self.grad_sum += gradient
-        radius = self.ball.radius
-        if radius > 0.0:
-            d = self.ball.dimension
-            eta = min(1.0 / (radius * self.b_hat),
-                      math.sqrt(math.log(2 * d)) / (radius * math.sqrt(self.v2)))
-            step = (eta * radius) * self.grad_sum
-            self.log_w[:d] = -step
-            self.log_w[d:] = step
-            self.log_w -= np.max(self.log_w)
-            self._refresh_prediction()
+        self._refresh_prediction()
         return self
 
 
@@ -178,7 +183,7 @@ def eg_init(ball: L1Ball, B: float) -> EGState:
     B = float(B)
     if not np.isfinite(B) or B <= 0.0:
         raise ValueError(f"B must be finite and > 0, got {B!r}")
-    return EGState(ball=ball, B=B, log_w=np.zeros(2 * ball.dimension))
+    return EGState(ball=ball, B=B)
 
 
 def eg_certificate(d: int) -> RegretCertificate:

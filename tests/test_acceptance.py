@@ -43,10 +43,12 @@ from saew.losses import (
 )
 from saew.subroutine import eg_certificate, eg_init
 
-# The wrapper's warn-and-continue path fires RuntimeWarnings whenever a
-# gradient exceeds the declared sup-norm bound; several replicas below run
-# deliberately close to that bound, so the warning carries no signal here.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Each subroutine warns the first time a gradient exceeds the declared
+# sup-norm bound; several replicas below run deliberately close to that
+# bound, so that warning carries no signal here.  Other RuntimeWarnings
+# (numpy overflow or invalid values) still show.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:observed gradient sup-norm exceeds:RuntimeWarning")
 
 
 def _report(index: int, passed: bool, detail: str) -> None:

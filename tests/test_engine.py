@@ -556,12 +556,33 @@ def test_determinism_same_seed_same_trajectory():
     assert s1.eps_t == s2.eps_t and s1.eps_min == s2.eps_min
 
 
+def test_misspecified_bound_warns_at_most_once_per_session():
+    env = make_square_env(d=20, d0=3, noise_sd=0.2, seed=4)
+    params = ProblemParams(d0=3, alpha=30.0, U=1.0, B=0.5, delta=0.1)
+    state = saew_init(params, d=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for oracle in _square_oracle_factory(env, 3000):
+            saew_step(state, oracle)
+    assert state.session >= 2  # several subroutine instances ran
+    assert state.optimizer.b_hat > params.B
+    runtime = [w for w in caught if w.category is RuntimeWarning]
+    assert 1 <= len(runtime) <= state.session + 1
+
+
 # ============================================================
 # Snapshot / restore
 # ============================================================
 
 def _json_round_trip(state):
     return saew_restore(json.loads(json.dumps(saew_snapshot(state))))
+
+
+def _derived(state):
+    """The facts a snapshot leaves out and restore derives again."""
+    opt = state.optimizer
+    return (state.session, state.session_start, opt.ball.radius, opt.B,
+            opt.t, opt._log_weights().tobytes(), opt.predict().tobytes())
 
 
 def _assert_restores_at(params, oracles, at):
@@ -573,6 +594,7 @@ def _assert_restores_at(params, oracles, at):
             saew_step(state, oracle)
         restored = _json_round_trip(state)
         assert saew_snapshot(restored) == saew_snapshot(state)
+        assert _derived(restored) == _derived(state)
         for oracle in oracles[k:]:
             saew_step(state, oracle)
             saew_step(restored, oracle)
@@ -599,7 +621,7 @@ def test_snapshot_roundtrips_through_json():
     oracles = _square_oracle_factory(env, 300)
     close = min(_closing_steps(params, oracles))
     doc = json.loads(json.dumps(saew_snapshot(saew_init(params, d=3))))
-    assert doc["version"] == SNAPSHOT_VERSION == "saew-state-v2"
+    assert doc["version"] == SNAPSHOT_VERSION == "saew-state-v3"
     # Before any step, mid-session, just before and just after a close.
     _assert_restores_at(params, oracles, [0, close // 2, close - 1, close,
                                           120])
@@ -617,8 +639,11 @@ def test_snapshot_roundtrips_across_zero_length_cascade():
 def test_snapshot_has_no_derived_fields():
     params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
     doc = saew_snapshot(saew_init(params, d=2))
-    for key in ("grad_sq_sum", "theta_bar", "center", "radius"):
+    for key in ("grad_sq_sum", "theta_bar", "center", "radius", "session",
+                "session_start"):
         assert key not in doc
+    # No radius, B, log_w or t.
+    assert set(doc["optimizer"]) == {"center", "grad_sum", "v2", "b_hat"}
 
 
 def test_snapshot_rejects_unknown_version():
@@ -634,6 +659,16 @@ def test_snapshot_rejects_v1_document():
     doc = saew_snapshot(saew_init(params, d=2))
     doc["version"] = "saew-state-v1"
     with pytest.raises(ValueError, match="'saew-state-v1'"):
+        saew_restore(doc)
+
+
+def test_snapshot_rejects_v2_document():
+    # A v2 document stored the six facts v3 derives; it is not read.
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    doc = saew_snapshot(saew_init(params, d=2))
+    doc.update(version="saew-state-v2", session=0, session_start=1)
+    doc["optimizer"].update(radius=1.0, B=1.0, log_w=[0.0] * 4, t=0)
+    with pytest.raises(ValueError, match="'saew-state-v2'"):
         saew_restore(doc)
 
 
@@ -655,15 +690,48 @@ def _cut(values, doc):
     return values[:-1]
 
 
+def _non_finite(values, doc):
+    return [math.inf] + values[1:]
+
+
+def _nan(value, doc):
+    return math.nan
+
+
+def _negative(value, doc):
+    return -1.0
+
+
+def _below_b_hat_squared(value, doc):
+    return 0.5 * doc["optimizer"]["b_hat"] ** 2
+
+
+def _empty(values, doc):
+    return []
+
+
+def _not_from_one(values, doc):
+    return [2] + values[1:]
+
+
+def _decreasing(values, doc):
+    return values + [values[-1] - 1]
+
+
 @pytest.mark.parametrize("field, change", [
     ("theta_bar_sum", _cut),
     ("theta_tilde", _cut),
     ("optimizer.center", _cut),
     ("optimizer.grad_sum", _cut),
-    ("optimizer.log_w", _cut),
-    ("optimizer.log_w", lambda v, doc: [math.nan] + v[1:]),
-    ("optimizer.radius", lambda v, doc: v * 2.0),
-    ("session_start", lambda v, doc: v + 1),
+    ("optimizer.grad_sum", _non_finite),
+    ("optimizer.v2", _nan),
+    ("optimizer.v2", _negative),
+    ("optimizer.v2", _below_b_hat_squared),
+    ("optimizer.b_hat", _nan),
+    ("optimizer.b_hat", _negative),
+    ("session_starts", _empty),
+    ("session_starts", _not_from_one),
+    ("session_starts", _decreasing),
     ("eps_min", lambda v, doc: doc["params"]["U"] * 1.5),
 ])
 def test_snapshot_rejects_inconsistent_document(snapshot_doc, field, change):
@@ -678,9 +746,34 @@ def test_snapshot_rejects_inconsistent_document(snapshot_doc, field, change):
 
 def test_snapshot_rejects_session_start_after_t(snapshot_doc):
     doc = snapshot_doc
-    doc["session_start"] = doc["session_starts"][-1] = doc["t"] + 1
-    with pytest.raises(ValueError, match="session_start"):
+    doc["session_starts"][-1] = doc["t"] + 1
+    with pytest.raises(ValueError, match="session_starts"):
         saew_restore(doc)
+
+
+def _drop(owner, key):
+    del owner[key]
+
+
+@pytest.mark.parametrize("field, change", [
+    ("eps_t", _drop),
+    ("optimizer.grad_sum", _drop),
+    ("params", lambda owner, key: owner[key].update(extra=1.0)),
+    ("params", lambda owner, key: owner[key].pop("delta")),
+    ("certificate", lambda owner, key: owner[key].update(c=1.0)),
+    ("t", lambda owner, key: owner.update(t="abc")),
+    ("eps_argmin", lambda owner, key: owner.update(eps_argmin=None)),
+    ("optimizer", lambda owner, key: owner.update(optimizer=[])),
+    ("version", _drop),
+])
+def test_snapshot_names_malformed_field(snapshot_doc, field, change):
+    *parents, key = field.split(".")
+    owner = snapshot_doc
+    for name in parents:
+        owner = owner[name]
+    change(owner, key)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        saew_restore(snapshot_doc)
 
 
 # ============================================================

@@ -31,7 +31,8 @@ from saew.harness import (
 from saew.losses import pinball_subgrad, square_grad, true_excess_risk
 from saew.subroutine import eg_init
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:observed gradient sup-norm exceeds:RuntimeWarning")
 
 
 def _config(tmp_path, **overrides) -> ExperimentConfig:

@@ -55,7 +55,8 @@ def fixture_csv(name: str) -> str:
         return fh.read()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:observed gradient sup-norm exceeds:RuntimeWarning")
 @pytest.mark.parametrize("name", ["eg_square", "rda_square",
                                   "calibrate_grid"])
 def test_output_is_byte_identical(tmp_path, name):
@@ -67,7 +68,8 @@ def test_output_is_byte_identical(tmp_path, name):
         assert g == w, f"line {line}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings(
+    "ignore:observed gradient sup-norm exceeds:RuntimeWarning")
 @pytest.mark.parametrize("name", ["saew_square", "saew_truncated",
                                   "saew_quantile_mc"])
 def test_saew_output_matches_to_rounding(tmp_path, name):

@@ -1,6 +1,7 @@
 """Tests for the exponentiated-gradient ball optimizer and its certificate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ def _ball(d=2, radius=1.0, center=None):
 
 def _weights(state):
     """Normalized simplex weights over the ``2d`` corners."""
-    w = np.exp(state.log_w - np.max(state.log_w))
+    log_w = state._log_weights()
+    w = np.exp(log_w - np.max(log_w))
     return w / w.sum()
 
 
@@ -103,18 +105,38 @@ def test_predict_uniform_weights_returns_center():
 
 
 def test_predict_weighted_d1():
-    # Weights (0.75, 0.25) on corners (+1, -1) => 0.75 - 0.25 = 0.5.
-    state = EGState(ball=_ball(d=1), B=1.0,
-                    log_w=np.log(np.array([0.75, 0.25])))
+    # With b_hat = v2 = 1 the learning rate is sqrt(ln 2), and this gradient
+    # sum gives weights (0.75, 0.25) on corners (+1, -1) => 0.75 - 0.25.
+    grad_sum = np.array([-math.log(3.0) / (2.0 * math.sqrt(math.log(2.0)))])
+    state = EGState(ball=_ball(d=1), B=1.0, grad_sum=grad_sum, v2=1.0,
+                    b_hat=1.0)
+    np.testing.assert_allclose(_weights(state), [0.75, 0.25], rtol=1e-12)
     np.testing.assert_allclose(state.predict(), np.array([0.5]), rtol=1e-12)
 
 
 def test_predict_vertex_weight():
     center = np.array([1.0, 2.0])
     state = EGState(ball=_ball(d=2, radius=0.5, center=center), B=1.0,
-                    log_w=np.array([0.0, -1e9, -1e9, -1e9]))  # all on +e_1
+                    grad_sum=np.array([-1e9, 0.0]), v2=1.0, b_hat=1.0)
+    np.testing.assert_array_equal(_weights(state), [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(state.predict(), np.array([1.5, 2.0]),
                                rtol=1e-12)
+
+
+def test_log_weights_follow_gradient_sums():
+    rng = np.random.default_rng(3)
+    d, radius = 3, 0.6
+    state = eg_init(_ball(d=d, radius=radius), B=2.0)
+    np.testing.assert_array_equal(state._log_weights(), np.zeros(2 * d))
+    for _ in range(20):
+        state.update(rng.uniform(-2.0, 2.0, size=d))
+    eta = min(1.0 / (radius * state.b_hat),
+              math.sqrt(math.log(2 * d)) / (radius * math.sqrt(state.v2)))
+    log_w = np.concatenate((-eta * radius * state.grad_sum,
+                            eta * radius * state.grad_sum))
+    np.testing.assert_allclose(state._log_weights(), log_w - log_w.max(),
+                               rtol=1e-12, atol=1e-12)
+    assert state._log_weights().max() == 0.0
 
 
 def test_predict_degenerate_radius_returns_center():
@@ -129,13 +151,14 @@ def _from_scratch_prediction(state):
     if radius == 0.0:
         return center
     d = state.ball.dimension
-    w = np.exp(state.log_w - np.max(state.log_w))
+    log_w = state._log_weights()
+    w = np.exp(log_w - np.max(log_w))
     return center + radius / w.sum() * (w[:d] - w[d:])
 
 
 def _rebuilt(state):
     """A copy built from the stored fields, as a snapshot restore does."""
-    return EGState(ball=state.ball, B=state.B, log_w=state.log_w.copy(),
+    return EGState(ball=state.ball, B=state.B,
                    grad_sum=state.grad_sum.copy(), v2=state.v2,
                    b_hat=state.b_hat, t=state.t)
 
@@ -204,6 +227,21 @@ def test_update_warns_when_gradient_exceeds_declared_bound():
         state.update(np.array([2.5]))
     # Continues operating with the observed running max.
     assert state.b_hat == 2.5
+
+
+def test_update_warns_once_per_instance_without_numbers():
+    state = eg_init(_ball(d=2), B=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for g in ([0.5, 0.0], [2.5, 0.0], [0.0, 3.5], [1.5, -4.0]):
+            state.update(np.array(g))
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert not any(ch.isdigit() for ch in str(caught[0].message))
+        # A fresh instance warns again.
+        eg_init(_ball(d=2), B=1.0).update(np.array([0.0, -2.0]))
+        assert len(caught) == 2
+    assert state.b_hat == 4.0
 
 
 def test_v2_accumulates_squared_sup_norms():
