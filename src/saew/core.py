@@ -126,7 +126,8 @@ class Environment:
             ``(X, y)`` with ``X`` of shape ``(n, dimension)``; deterministic,
             so repeated calls replay the same prefix.
         excess_risk_exact: closed-form instantaneous excess risk of a
-            parameter vector, or ``None`` if no closed form is available.
+            parameter vector (a float), or of each row of a ``(k, d)``
+            stack (an array); ``None`` if no closed form is available.
     """
 
     dimension: int
@@ -135,7 +136,7 @@ class Environment:
     config: Mapping[str, Any]
     theta_star_metrics: np.ndarray
     draw: Callable[[int], tuple[np.ndarray, np.ndarray]] = dataclasses.field(repr=False)
-    excess_risk_exact: Callable[[np.ndarray], float] | None = dataclasses.field(
+    excess_risk_exact: Callable[[np.ndarray], float | np.ndarray] | None = dataclasses.field(
         default=None, repr=False)
 
     def __post_init__(self) -> None:

@@ -189,7 +189,9 @@ def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
     ball radius.  The state is modified in place and returned.
 
     Raises:
-        ValueError: non-finite or wrongly shaped gradient (state unchanged).
+        ValueError: non-finite or wrongly shaped gradient, or one whose
+            squared sup-norm overflows the session's ``v2`` (state
+            unchanged).
     """
     p = state.params
     t_cur = state.t
@@ -380,8 +382,12 @@ class _SquareBank:
         self.b_hat[rows] = b_hat
         self.grad_sum[rows] = grad_sum
         radius = self.radius[rows]
+        # As in EGState._log_weights: +inf where v2 underflowed to 0.
+        radius_root_v2 = radius * np.sqrt(v2)
         eta = np.minimum(1.0 / (radius * b_hat),
-                         self.root_log_2d / (radius * np.sqrt(v2)))
+                         np.divide(self.root_log_2d, radius_root_v2,
+                                   out=np.full_like(radius_root_v2, np.inf),
+                                   where=radius_root_v2 > 0.0))
         step = (eta * radius)[:, None] * grad_sum
         log_w = np.concatenate((-step, step), axis=1)
         log_w -= log_w.max(axis=1, keepdims=True)

@@ -333,52 +333,97 @@ def _gradient_fn(env: Environment
     return lambda theta, x, y: pinball_subgrad(theta, x, y, alpha_q)
 
 
-def _risk_fn(env: Environment, mc_risk: bool
-             ) -> Callable[[np.ndarray], tuple[float, float]]:
-    """Return ``theta -> (excess risk, standard error)``.
+class _BlockScorer:
+    """Scores a run's estimates a block of steps at a time.
 
-    The Monte-Carlo scorer remembers its last two distinct ``theta`` and
-    reuses their results when scored again.  A step scores theta_hat then
-    theta_tilde, and theta_tilde often stays the same for many steps.
+    A block is a ``(steps, 2, d)`` stack of each step's theta_hat and
+    theta_tilde, in the order the metrics read them.  One risk call per
+    block scores the whole stack.  The Monte-Carlo oracle is costly, so
+    there each distinct vector is scored once, with a standard error only
+    where a theta_tilde (or a kept vector, below) needs one.  The last two
+    distinct vectors of the earlier blocks are kept with their scores, so
+    a theta_tilde unchanged across a block boundary is not scored again.
     """
-    if mc_risk:
-        recent: list[tuple[np.ndarray, tuple[float, float]]] = []
 
-        def mc(theta: np.ndarray) -> tuple[float, float]:
-            for i, (seen, result) in enumerate(recent):
-                if np.array_equal(seen, theta):
-                    recent.append(recent.pop(i))
-                    return result
-            est = true_excess_risk(theta, env)
-            result = float(est), float(getattr(est, "se", 0.0))
-            recent.append((np.array(theta, float), result))
-            del recent[:-2]
-            return result
-        return mc
+    def __init__(self, env: Environment, mc_risk: bool):
+        self.env = env
+        self.mc_risk = mc_risk
+        self.cum = 0.0
+        self.kept = np.empty((0, env.dimension))
+        self.kept_risk = np.empty(0)
+        self.kept_se = np.empty(0)
 
-    exact = env.excess_risk_exact
+    def score(self, block: np.ndarray) -> np.ndarray:
+        """Return the block's ``(steps, 5)`` columns ``l2_error, risk_hat,
+        risk_tilde, cum_risk, risk_se``."""
+        steps, _, d = block.shape
+        stack = block.reshape(2 * steps, d)
+        if self.mc_risk:
+            risk, se = self._monte_carlo(stack)
+        else:
+            risk, se = self.env.excess_risk_exact(stack), np.zeros(2 * steps)
+        risk_hat, risk_tilde = risk[0::2], risk[1::2]
+        diff = block[:, 1] - self.env.theta_star_metrics
+        # True excess risk is nonnegative; a Monte-Carlo estimate can dip
+        # below zero, so only the nonnegative part accumulates.  The
+        # accumulation is sequential, seeded with the previous blocks' sum.
+        cum = np.add.accumulate(
+            np.concatenate(([self.cum], np.maximum(risk_hat, 0.0))))[1:]
+        self.cum = float(cum[-1])
+        return np.column_stack((np.sqrt(np.vecdot(diff, diff)), risk_hat,
+                                risk_tilde, cum, se[1::2]))
 
-    def closed_form(theta: np.ndarray) -> tuple[float, float]:
-        return float(exact(theta)), 0.0
-
-    return closed_form
+    def _monte_carlo(self, stack: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Risk and standard error of each row, each distinct row scored
+        once; a row kept from earlier blocks keeps its score."""
+        kept = len(self.kept)
+        seq = np.concatenate((self.kept, stack))
+        # Adding 0.0 turns -0.0 into 0.0, so rows with equal values share a
+        # key.  first[i] is the position of row i's first appearance.
+        keys = (seq + 0.0).view(np.dtype((np.void, seq[0].nbytes))).ravel()
+        seen: dict[bytes, int] = {}
+        first = np.array([seen.setdefault(key, i)
+                          for i, key in enumerate(keys.tolist())])
+        new = first == np.arange(len(seq))
+        new[:kept] = False
+        # The last two distinct vectors, in the order last scored, carry
+        # over to the next block with their scores.
+        last = first[-1]
+        earlier = first[first != last]
+        keep = [earlier[-1], last] if earlier.size else [last]
+        want_se = np.zeros(len(seq), bool)
+        want_se[first[kept + 1::2]] = True
+        want_se[keep] = True
+        risk, se = np.empty(len(seq)), np.empty(len(seq))
+        risk[:kept], se[:kept] = self.kept_risk, self.kept_se
+        if new.any():
+            est = true_excess_risk(seq[new], self.env, se_rows=want_se[new])
+            risk[new], se[new] = est.value, est.se
+        self.kept = seq[keep]
+        self.kept_risk, self.kept_se = risk[keep], se[keep]
+        return risk[first[kept:]], se[first[kept:]]
 
 
 # ============================================================
 # Single-seed runs
 # ============================================================
 
+# Steps run_one_seed records before scoring them in one block.
+_BLOCK = 256
+
+
 def run_one_seed(config: ExperimentConfig, seed: int) -> RunRecord:
     """Run the configured algorithm once and return its per-step record.
 
     Pure apart from RNG seeded by ``seed``; no files are touched, so seeds
     can run in separate processes and merge results deterministically.
+    The per-step loop only records the estimates; they are scored a block
+    of steps at a time.
     """
     env = build_environment(config, seed)
     xs, ys = env.draw(config.T)
     grad = _gradient_fn(env)
-    risk_of = _risk_fn(env, config.mc_risk)
-    theta_star = env.theta_star_metrics
     hash_ = config_hash(config.as_mapping())
 
     columns: tuple[str, ...] = BASE_COLUMNS
@@ -387,26 +432,30 @@ def run_one_seed(config: ExperimentConfig, seed: int) -> RunRecord:
     if config.algorithm == "saew" and config.trace_bounds:
         columns = columns + TRACE_COLUMNS
 
+    T = config.T
     step = _learner(config, env.dimension)
-    rows = []
-    cum = 0.0
-    for t in range(config.T):
+    scorer = _BlockScorer(env, config.mc_risk)
+    block = np.empty((min(T, _BLOCK), 2, env.dimension))
+    metrics = np.empty((T, 5))
+    extras = []
+    for t in range(T):
         x, y = xs[t], float(ys[t])
         theta_hat, theta_tilde, extra = step(lambda theta: grad(theta, x, y))
-        l2 = float(np.linalg.norm(theta_tilde - theta_star))
-        risk_hat, _ = risk_of(theta_hat)
-        risk_tilde, se = risk_of(theta_tilde)
-        # True excess risk is nonnegative; a Monte-Carlo estimate can dip
-        # below zero, so only the nonnegative part accumulates.
-        cum += max(risk_hat, 0.0)
-        # extra holds epsilon and session, then any trace columns; the
-        # standard error sits between them.
-        row = (float(t + 1), l2, risk_hat, risk_tilde, cum) + extra[:2]
-        if env.loss == "pinball":
-            row = row + (se,)
-        rows.append(row + extra[2:])
-    record = RunRecord(columns=columns, rows=rows, seed=seed,
-                       config_hash=hash_)
+        j = t % len(block)
+        block[j, 0] = theta_hat
+        block[j, 1] = theta_tilde
+        extras.append(extra)
+        if j == len(block) - 1 or t == T - 1:
+            metrics[t - j:t + 1] = scorer.score(block[:j + 1])
+    # extras hold epsilon and session, then any trace columns; the
+    # standard error sits between them.
+    extras = np.array(extras)
+    parts = [np.arange(1.0, T + 1.0), metrics[:, :4], extras[:, :2]]
+    if env.loss == "pinball":
+        parts.append(metrics[:, 4])
+    parts.append(extras[:, 2:])
+    record = RunRecord(columns=columns, rows=np.column_stack(parts),
+                       seed=seed, config_hash=hash_)
     record.validate()
     return record
 

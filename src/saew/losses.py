@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -31,13 +32,21 @@ _HOLDOUT_CACHE: OrderedDict[
     tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 _HOLDOUT_CACHE_MAX = 4
 _HOLDOUT_SIZE = 10 ** 5
+# Holdout rows per pass of the Monte-Carlo oracle.  A power of two, so
+# every chunk starts on a row block of the BLAS gemv kernel and its product
+# equals the full product's rows bit for bit; a chunk's buffers stay in L2.
+_HOLDOUT_CHUNK = 8192
+# Parameter vectors scored per pass over the holdout: each chunk of the
+# holdout is read once for all of them.
+_THETA_GROUP = 8
 
 
 class RiskEstimate(NamedTuple):
-    """A Monte-Carlo risk value with its standard error."""
+    """A Monte-Carlo risk value with its standard error (one float each,
+    or one array entry per row of a stack of parameter vectors)."""
 
-    value: float
-    se: float
+    value: float | np.ndarray
+    se: float | np.ndarray
 
     def __float__(self) -> float:
         return self.value
@@ -129,6 +138,20 @@ def gaussian_pinball_risk(mu: float, tau: float, alpha_q: float) -> float:
 # Environments
 # ============================================================
 
+def _one_or_many(risks: Callable[[np.ndarray], np.ndarray]
+                 ) -> Callable[[np.ndarray], float | np.ndarray]:
+    """Let a risk function of ``(k, d)`` stacks also take one vector.
+
+    A stack gets one risk per row; a single vector is scored as a one-row
+    stack and gets a float.
+    """
+    def risk(theta: np.ndarray) -> float | np.ndarray:
+        theta = np.asarray(theta, float)
+        values = risks(np.atleast_2d(theta))
+        return float(values[0]) if theta.ndim == 1 else values
+    return risk
+
+
 def _sparse_unit_l1_parameter(d: int, d0: int,
                               rng: np.random.Generator) -> np.ndarray:
     """A vector with d0 nonzeros at random positions, rescaled to l1 norm 1."""
@@ -173,9 +196,11 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
         y = x @ theta_star + noise_sd * rng_e.standard_normal(n)
         return x, y
 
-    def excess_risk_exact(theta: np.ndarray) -> float:
-        diff = np.asarray(theta, float) - theta_star
-        return float(diff @ diff)
+    @_one_or_many
+    def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
+        # One ddot per row, as in float(diff @ diff) for a single vector.
+        diff = thetas - theta_star
+        return np.vecdot(diff, diff)
 
     config = {"loss": "square", "d": d, "d0": d0, "noise_sd": noise_sd,
               "alpha_q": None, "seed": seed}
@@ -229,9 +254,10 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
         y = x @ theta_star + noise_sd * ndtri(u_e)
         return x, y
 
-    def excess_risk_exact(theta: np.ndarray) -> float:
-        diff = np.asarray(theta, float) - theta_star
-        return v * float(diff @ diff)
+    @_one_or_many
+    def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
+        diff = thetas - theta_star
+        return v * np.vecdot(diff, diff)
 
     config = {"loss": "square", "d": d, "d0": d0, "noise_sd": noise_sd,
               "alpha_q": None, "seed": seed, "design": "truncated",
@@ -281,12 +307,15 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
         y = x @ theta_base + noise_sd * rng_e.standard_normal(n)
         return np.hstack([np.ones((n, 1)), x]), y
 
-    def excess_risk_exact(theta: np.ndarray) -> float:
-        theta = np.asarray(theta, float)
-        mu = -float(theta[0])
-        dv = theta_base - theta[1:]
-        tau = math.sqrt(noise_sd * noise_sd + float(dv @ dv))
-        return gaussian_pinball_risk(mu, tau, alpha_q) - min_risk
+    @_one_or_many
+    def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
+        dv = theta_base - thetas[:, 1:]
+        spread = np.vecdot(dv, dv).tolist()
+        # The closed form is scalar math (math.erf), one row at a time.
+        return np.array([
+            gaussian_pinball_risk(-t0, math.sqrt(noise_sd * noise_sd + s),
+                                  alpha_q) - min_risk
+            for t0, s in zip(thetas[:, 0].tolist(), spread)])
 
     config = {"loss": "pinball", "d": d, "d0": d0, "noise_sd": noise_sd,
               "alpha_q": alpha_q, "seed": seed}
@@ -335,28 +364,61 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
     return entry
 
 
-def true_excess_risk(theta: DenseVector, env: Environment
-                     ) -> float | RiskEstimate:
+def true_excess_risk(theta: DenseVector, env: Environment,
+                     se_rows: np.ndarray | None = None
+                     ) -> float | np.ndarray | RiskEstimate:
     """Instantaneous excess risk of ``theta`` under ``env``'s distribution.
 
+    ``theta`` is one parameter vector or a ``(k, d)`` stack of them; a
+    stack gets one entry per row, a single vector plain floats.
+
     Square environments have a closed form (``alpha * ||theta - theta*||^2``)
-    and return a plain float.  The quantile environment returns a
+    and return it.  The quantile environment returns a
     :class:`RiskEstimate` — a paired Monte-Carlo estimate over a fixed
     seeded holdout of 10^5 samples, with its standard error.  The
     holdout's ``theta_star`` losses are computed once (see :func:`_holdout`),
-    so a call costs one pass over the holdout.
+    and one pass over the holdout scores a group of rows.  ``se_rows``, a
+    boolean mask over the rows, names the rows whose standard error is
+    wanted (default: all); the others get NaN.
     """
-    theta = np.asarray(theta, float)
-    if theta.shape != (env.dimension,):
-        raise ValueError(f"theta has shape {theta.shape}, "
-                         f"expected ({env.dimension},)")
+    thetas = np.asarray(theta, float)
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != env.dimension:
+        raise ValueError(f"theta has shape {thetas.shape}, expected "
+                         f"({env.dimension},) or (k, {env.dimension})")
     if env.loss == "square":
-        return env.excess_risk_exact(theta)
+        return env.excess_risk_exact(thetas)
+    stack = np.atleast_2d(thetas)
+    k = stack.shape[0]
+    want_se = (np.ones(k, bool) if se_rows is None
+               else np.asarray(se_rows, bool))
     x, y, loss_star = _holdout(env)
     alpha_q = float(env.config["alpha_q"])
-    u_theta = y - x @ theta
-    loss_theta = u_theta * (alpha_q - (u_theta < 0.0))
-    diff = loss_theta - loss_star
-    n = diff.shape[0]
-    return RiskEstimate(value=float(diff.mean()),
-                        se=float(diff.std(ddof=1) / math.sqrt(n)))
+    n = x.shape[0]
+    values, ses = np.empty(k), np.full(k, np.nan)
+    # Each row's losses minus the theta_star losses, kept whole: the mean
+    # and standard error sum a row in one pairwise pass, as for one vector.
+    diffs = np.empty((min(k, _THETA_GROUP), n))
+    chunk = min(n, _HOLDOUT_CHUNK)
+    u, factor = np.empty(chunk), np.empty(chunk)
+    negative = np.empty(chunk, bool)
+    for g0 in range(0, k, _THETA_GROUP):
+        group = stack[g0:g0 + _THETA_GROUP]
+        for c0 in range(0, n, chunk):
+            c1 = min(n, c0 + chunk)
+            x_c, y_c, star_c = x[c0:c1], y[c0:c1], loss_star[c0:c1]
+            u_c, neg_c, f_c = u[:c1 - c0], negative[:c1 - c0], factor[:c1 - c0]
+            for row, theta_r in zip(diffs, group):
+                # The pinball loss u * (alpha_q - [u < 0]) at u = y - x.theta.
+                np.matmul(x_c, theta_r, out=u_c)
+                np.subtract(y_c, u_c, out=u_c)
+                np.less(u_c, 0.0, out=neg_c)
+                np.subtract(alpha_q, neg_c, out=f_c)
+                np.multiply(u_c, f_c, out=u_c)
+                np.subtract(u_c, star_c, out=row[c0:c1])
+        for r, diff in enumerate(diffs[:len(group)], start=g0):
+            values[r] = diff.mean()
+            if want_se[r]:
+                ses[r] = diff.std(ddof=1) / math.sqrt(n)
+    if thetas.ndim == 1:
+        return RiskEstimate(value=float(values[0]), se=float(ses[0]))
+    return RiskEstimate(value=values, se=ses)

@@ -102,8 +102,12 @@ class EGState:
         d, radius = self.ball.dimension, self.ball.radius
         if self.b_hat == 0.0:
             return np.zeros(2 * d)
-        eta = min(1.0 / (radius * self.b_hat),
-                  math.sqrt(math.log(2 * d)) / (radius * math.sqrt(self.v2)))
+        # v2 underflows to 0 under sup-norms below about 1e-162 while b_hat
+        # stays positive; the second term is then +inf.
+        radius_root_v2 = radius * math.sqrt(self.v2)
+        by_v2 = (math.sqrt(math.log(2 * d)) / radius_root_v2
+                 if radius_root_v2 > 0.0 else math.inf)
+        eta = min(1.0 / (radius * self.b_hat), by_v2)
         step = (eta * radius) * self.grad_sum
         log_w = np.concatenate((-step, step))
         log_w -= np.max(log_w)
@@ -142,7 +146,8 @@ class EGState:
         Returns the same (mutated) state, for chaining.
 
         Raises:
-            ValueError: non-finite gradient or dimension mismatch.
+            ValueError: non-finite gradient, a sup-norm whose square
+                overflows ``v2``, or dimension mismatch (state unchanged).
 
         Warns:
             RuntimeWarning: once per instance, at the first gradient whose
@@ -154,8 +159,12 @@ class EGState:
                              f"expected ({self.ball.dimension},)")
         if not np.all(np.isfinite(gradient)):
             raise ValueError("gradient must be finite")
-        self.t += 1
         linf = float(np.max(np.abs(gradient)))
+        v2 = self.v2 + linf * linf
+        if not math.isfinite(v2):
+            raise ValueError("gradient too large: the sum of squared "
+                             "sup-norms v2 would not be finite")
+        self.t += 1
         if linf == 0.0:
             return self
         if self.b_hat <= self.B < linf:
@@ -164,7 +173,7 @@ class EGState:
                 "continuing with the running max",
                 RuntimeWarning, stacklevel=2)
         self.b_hat = max(self.b_hat, linf)
-        self.v2 += linf * linf
+        self.v2 = v2
         self.grad_sum += gradient
         self._refresh_prediction()
         return self

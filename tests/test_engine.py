@@ -223,6 +223,22 @@ def test_step_rejects_bad_gradients():
     assert state.t == 1 and state.optimizer.v2 == 0.0
 
 
+@pytest.mark.parametrize("t_fail", [1, 4])
+def test_step_rejects_overflowing_gradient_state_unchanged(t_fail):
+    # The squared sup-norm of 1e200 overflows v2: the step is refused
+    # before the subroutine, the clock or the radius change.
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    state = saew_init(params, d=2)
+    for _ in range(t_fail - 1):
+        saew_step(state, lambda theta: np.array([0.3, -0.1]))
+    before = json.dumps(saew_snapshot(state))
+    with pytest.raises(ValueError, match="finite"):
+        saew_step(state, lambda theta: np.array([1e200, 0.0]))
+    assert json.dumps(saew_snapshot(state)) == before
+    assert state.t == t_fail and state.optimizer.t == t_fail - 1
+    saew_restore(json.loads(before))
+
+
 def test_oracle_receives_current_prediction():
     params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
     state = saew_init(params, d=2)
@@ -846,6 +862,31 @@ def test_fit_square_cascades_and_partly_zero_gradients():
         assert s.session_starts[1] == s.session_starts[2] == 2
     assert states[1].session_starts[:2] == [1, 2]
     assert states[1].session_starts[2] > 3
+
+
+def test_fit_square_matches_saew_step_on_underflowing_gradients():
+    # The first gradients have sup-norms near 1e-170, whose squares
+    # underflow: v2 stays 0 while b_hat > 0.  Both paths take the learning
+    # rate's v2 term as +inf, bit for bit and without a warning, and a
+    # snapshot taken there restores.
+    d = 3
+    env = make_square_env(d=d, d0=1, noise_sd=0.2, seed=4)
+    xs, ys = env.draw(60)
+    xs[:3] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]]
+    ys[:3] = [-5e-171, 3e-171, -2e-171]
+    params = [ProblemParams(d0=d0, alpha=alpha, U=1.0, B=100.0, delta=0.05)
+              for d0 in (1, 3) for alpha in (960.0, 50.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, states = _assert_fit_matches_replicas(params, d, xs, ys)
+        state = saew_init(params[0], d)
+        saew_step(state, lambda theta: 2.0 * (float(xs[0] @ theta) - ys[0])
+                  * xs[0])
+        assert state.optimizer.v2 == 0.0 < state.optimizer.b_hat
+        restored = saew_restore(json.loads(json.dumps(saew_snapshot(state))))
+        np.testing.assert_array_equal(restored.optimizer.predict(),
+                                      state.optimizer.predict())
+    assert any(np.any(s.theta_tilde) for s in states)
 
 
 def test_fit_square_of_no_wrappers_or_no_history():

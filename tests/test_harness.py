@@ -226,18 +226,63 @@ def test_quantile_mc_risk_reports_standard_errors(tmp_path):
     assert all(row[se_col] > 0.0 for row in record.rows)
 
 
-def _reference_mc_risks(cfg, seed):
-    """Per-step (risk_hat, risk_tilde, risk_se, cum_risk) of a quantile
-    ``mc_risk`` run, calling ``true_excess_risk`` on every estimate."""
+def _paired_risk(env):
+    """``theta -> (risk, standard error)``: the paired Monte-Carlo
+    estimate on the environment's holdout, computed from scratch."""
+    x, y, _ = saew.losses._holdout(env)
+    alpha_q = env.config["alpha_q"]
+
+    def pinball(u):
+        return u * (alpha_q - (u < 0.0))
+
+    loss_star = pinball(y - x @ env.theta_star_metrics)
+
+    def risk(theta):
+        diff = pinball(y - x @ theta) - loss_star
+        return (float(diff.mean()),
+                float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
+    return risk
+
+
+def _per_step_reference(cfg, seed):
+    """The run's rows from a per-step loop that scores every estimate on
+    its own, with the formulas written out here, plus the number of
+    vectors a memo of the last two distinct scored vectors scores and the
+    per-step theta_tilde.
+
+    Square runs use ``||theta - theta_star||^2``; quantile runs the paired
+    Monte-Carlo estimate on the holdout.
+    """
     env = build_environment(cfg, seed)
     xs, ys = env.draw(cfg.T)
+    star = env.theta_star_metrics
+    if env.loss == "pinball":
+        risk = _paired_risk(env)
 
-    def grad(theta, x, y):
-        return pinball_subgrad(theta, x, y, cfg.alpha_q)
+        def grad(theta, x, y):
+            return pinball_subgrad(theta, x, y, cfg.alpha_q)
+    else:
+        def risk(theta):
+            diff = theta - star
+            return float(diff @ diff), 0.0
+
+        grad = square_grad
+
+    recent = []
+
+    def memo_scores(theta):
+        for i, seen in enumerate(recent):
+            if np.array_equal(seen, theta):
+                recent.append(recent.pop(i))
+                return 0
+        recent.append(np.array(theta))
+        del recent[:-2]
+        return 1
 
     if cfg.algorithm == "saew":
-        state = saew_init(ProblemParams(d0=cfg.wrapper_d0(), alpha=cfg.alpha,
-                                        U=cfg.U, B=cfg.B, delta=cfg.delta),
+        d0 = cfg.wrapper_d0()
+        state = saew_init(ProblemParams(d0=d0, alpha=cfg.alpha, U=cfg.U,
+                                        B=cfg.B, delta=cfg.delta),
                           env.dimension)
     elif cfg.algorithm == "eg":
         state = eg_init(L1Ball(np.zeros(env.dimension), cfg.U), cfg.B)
@@ -245,29 +290,58 @@ def _reference_mc_risks(cfg, seed):
     else:
         state = rda_init(env.dimension, cfg.rda_gamma, rho=cfg.rda_rho,
                          lam=cfg.rda_lambda)
-    rows, cum, tildes = [], 0.0, []
+    rows, cum, scored, tildes = [], 0.0, 0, []
     for t in range(cfg.T):
         x, y = xs[t], float(ys[t])
+        extra = (0.0, 0.0)
         if cfg.algorithm == "saew":
             theta_hat = saew_estimators(state)[0]
             saew_step(state, lambda theta: grad(theta, x, y))
             theta_tilde = saew_estimators(state)[1]
+            extra = (state.eps_t, float(state.session))
+            if cfg.trace_bounds:
+                extra += (state.err_t, state.a_prime_t, state.b_prime_t,
+                          state.eps_t / (2.0 * math.sqrt(2.0 * max(d0, 1))))
         elif cfg.algorithm == "eg":
             theta_hat = state.predict()
             state.update(grad(theta_hat, x, y))
             average += (theta_hat - average) / (t + 1)
-            theta_tilde = average
+            theta_tilde = average.copy()
         else:
             theta_hat = rda_predict(state)
             rda_step(state, grad(theta_hat, x, y))
             theta_tilde = rda_predict(state)
-        risk_hat = true_excess_risk(theta_hat, env).value
-        est = true_excess_risk(theta_tilde, env)
+        risk_hat, _ = risk(theta_hat)
+        risk_tilde, se = risk(theta_tilde)
+        scored += memo_scores(theta_hat) + memo_scores(theta_tilde)
         cum += max(risk_hat, 0.0)
-        rows.append((risk_hat, est.value, est.se, cum))
+        row = (float(t + 1), float(np.linalg.norm(theta_tilde - star)),
+               risk_hat, risk_tilde, cum) + extra[:2]
+        if env.loss == "pinball":
+            row += (se,)
+        rows.append(row + extra[2:])
         tildes.append(np.array(theta_tilde))
-    repeats = sum(np.array_equal(a, b) for a, b in zip(tildes, tildes[1:]))
-    return rows, repeats
+    return np.array(rows), scored, tildes
+
+
+def _scored_rows_spy(monkeypatch):
+    """Record every stack the harness hands to ``true_excess_risk``."""
+    stacks = []
+
+    def spy(theta, env, **kwargs):
+        stacks.append(np.array(theta, ndmin=2))
+        return true_excess_risk(theta, env, **kwargs)
+
+    monkeypatch.setattr(saew.harness, "true_excess_risk", spy)
+    return stacks
+
+
+def _assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    differ = np.argwhere(got.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, (f"first differing (row, column) "
+                              f"{differ[0]}: {got[tuple(differ[0])]!r} vs "
+                              f"{expected[tuple(differ[0])]!r}")
 
 
 @pytest.mark.parametrize("algorithm", ["saew", "eg", "rda"])
@@ -276,23 +350,95 @@ def test_mc_risk_columns_match_unmemoized_oracle(tmp_path, monkeypatch,
     cfg = _config(tmp_path, env="quantile", d=4, d0=2, alpha_q=0.8,
                   mc_risk=True, algorithm=algorithm, T=50, seeds=(3,),
                   U=2.0, rda_gamma=10.0)
-    reference, repeats = _reference_mc_risks(cfg, 3)
-    calls = []
-
-    def counting(theta, env):
-        calls.append(1)
-        return true_excess_risk(theta, env)
-
-    monkeypatch.setattr(saew.harness, "true_excess_risk", counting)
+    reference, memo_scored, tildes = _per_step_reference(cfg, 3)
+    stacks = _scored_rows_spy(monkeypatch)
     record = run_one_seed(cfg, 3)
-    cols = [record.columns.index(name)
-            for name in ("risk_hat", "risk_tilde", "risk_se", "cum_risk")]
-    got = [tuple(row[c] for c in cols) for row in record.rows]
-    assert got == reference
-    # An estimate equal to the one scored just before is not rescored.
-    assert len(calls) <= 2 * cfg.T - repeats
+    _assert_same_bytes(record.rows, reference)
+    # Each distinct estimate is scored once: no more vectors than a memo
+    # of the last two, in one call for a run shorter than a block.
+    assert len(stacks) == 1
+    assert sum(len(stack) for stack in stacks) <= memo_scored
     if algorithm == "saew":
-        assert repeats > 0
+        assert any(np.array_equal(a, b) for a, b in zip(tildes, tildes[1:]))
+
+
+@pytest.mark.parametrize("algorithm", ["saew", "eg", "rda"])
+@pytest.mark.parametrize("T", [1, 5, 8, 9, 30])
+def test_block_scoring_matches_per_step_reference(tmp_path, monkeypatch,
+                                                  algorithm, T):
+    # Blocks of 8 steps: one step, under one block, exactly one block, one
+    # step past it, and several blocks with a partial last one.
+    monkeypatch.setattr(saew.harness, "_BLOCK", 8)
+    cfg = _config(tmp_path, env="quantile", d=4, d0=2, alpha_q=0.8,
+                  mc_risk=True, algorithm=algorithm, T=T, seeds=(5,),
+                  U=2.0, rda_gamma=10.0)
+    reference, memo_scored, _ = _per_step_reference(cfg, 5)
+    stacks = _scored_rows_spy(monkeypatch)
+    record = run_one_seed(cfg, 5)
+    _assert_same_bytes(record.rows, reference)
+    assert len(stacks) <= math.ceil(T / 8)
+    assert sum(len(stack) for stack in stacks) <= memo_scored
+
+
+def test_block_scoring_keeps_theta_tilde_across_block_boundary(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(saew.harness, "_BLOCK", 8)
+    cfg = _config(tmp_path, env="quantile", d=4, d0=2, alpha_q=0.8,
+                  mc_risk=True, T=64, seeds=(3,), U=2.0)
+    reference, memo_scored, tildes = _per_step_reference(cfg, 3)
+    stacks = _scored_rows_spy(monkeypatch)
+    record = run_one_seed(cfg, 3)
+    _assert_same_bytes(record.rows, reference)
+    assert sum(len(stack) for stack in stacks) <= memo_scored
+    # A theta_tilde that carries over a block boundary is not scored again.
+    kept = [b for b in range(8, cfg.T, 8)
+            if np.array_equal(tildes[b - 1], tildes[b])]
+    assert kept
+    for b in kept:
+        assert not any(np.array_equal(row, tildes[b])
+                       for row in stacks[b // 8])
+
+
+def test_block_scorer_scores_each_value_once_with_its_standard_error(
+        tmp_path, monkeypatch):
+    cfg = _config(tmp_path, env="quantile", d=4, d0=2, mc_risk=True)
+    env = build_environment(cfg, 1)
+    risk = _paired_risk(env)
+    a, b, c, e = env.theta_star_metrics + np.random.default_rng(3).normal(
+        0.0, 0.2, size=(4, 5))
+    zero = np.zeros(5)
+    stacks = _scored_rows_spy(monkeypatch)
+    scorer = saew.harness._BlockScorer(env, mc_risk=True)
+    blocks = [
+        # c is scored as a theta_hat only, yet kept with b: the next block
+        # reads its standard error as a theta_tilde.
+        [(a, b), (c, b)],
+        [(e, c)],
+        # 0.0 and -0.0 are the same value: scored once.
+        [(zero, -zero), (-zero, zero)],
+    ]
+    cum = 0.0
+    for block in blocks:
+        got = scorer.score(np.array(block))
+        for (theta_hat, theta_tilde), row in zip(block, got):
+            risk_hat = risk(theta_hat)[0]
+            risk_tilde, se = risk(theta_tilde)
+            cum += max(risk_hat, 0.0)
+            l2 = float(np.linalg.norm(theta_tilde - env.theta_star_metrics))
+            assert tuple(row) == (l2, risk_hat, risk_tilde, cum, se)
+    assert [len(stack) for stack in stacks] == [3, 1, 1]
+    np.testing.assert_array_equal(stacks[1], [e])
+
+
+@pytest.mark.parametrize("algorithm", ["saew", "eg", "rda"])
+@pytest.mark.parametrize("T", [1, 8, 9, 20])
+def test_block_scoring_matches_per_step_reference_exact(
+        tmp_path, monkeypatch, algorithm, T):
+    monkeypatch.setattr(saew.harness, "_BLOCK", 8)
+    cfg = _config(tmp_path, algorithm=algorithm, T=T, seeds=(2,), d=30,
+                  trace_bounds=algorithm == "saew", rda_gamma=10.0)
+    reference, _, _ = _per_step_reference(cfg, 2)
+    _assert_same_bytes(run_one_seed(cfg, 2).rows, reference)
 
 
 def test_trace_columns_consistent_with_epsilon(tmp_path):

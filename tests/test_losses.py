@@ -398,20 +398,98 @@ def test_true_excess_risk_deterministic():
     assert true_excess_risk(theta, rebuilt) == first
 
 
+def _paired_from_scratch(x, y, env, theta, alpha_q):
+    """The paired Monte-Carlo estimate of one vector: mean, standard error."""
+    def pinball(u):
+        return u * (alpha_q - (u < 0.0))
+
+    diff = pinball(y - x @ theta) - pinball(y - x @ env.theta_star_metrics)
+    return (float(diff.mean()),
+            float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
+
+
 def test_true_excess_risk_equals_paired_computation_from_scratch():
     env = make_quantile_env(d=3, d0=1, alpha_q=0.7, noise_sd=0.3, seed=9)
     x, y, _ = _holdout(env)
-
-    def pinball(u):
-        return u * (0.7 - (u < 0.0))
-
     rng = np.random.default_rng(4)
     for theta in (np.zeros(4), env.theta_star_metrics,
                   env.theta_star_metrics + 0.2 * rng.standard_normal(4)):
-        diff = pinball(y - x @ theta) - pinball(y - x @ env.theta_star_metrics)
         est = true_excess_risk(theta, env)
-        assert est.value == float(diff.mean())
-        assert est.se == float(diff.std(ddof=1) / math.sqrt(diff.shape[0]))
+        assert (est.value, est.se) == _paired_from_scratch(x, y, env, theta,
+                                                           0.7)
+
+
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8192, 5])
+def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
+        monkeypatch, n):
+    # More rows than one pass over the holdout takes, and holdouts that are
+    # not a whole number of chunks (10007), exactly one chunk, or shorter.
+    env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
+    holdout = saew.losses._holdout
+    monkeypatch.setattr(saew.losses, "_holdout",
+                        lambda env: holdout(env, n))
+    x, y, _ = holdout(env, n)
+    k = 2 * saew.losses._THETA_GROUP + 3
+    rng = np.random.default_rng(8)
+    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((k, 21))
+    stack[4] = 0.0
+    stack[5] = stack[2]
+    want_se = rng.random(k) < 0.5
+    est = true_excess_risk(stack, env, se_rows=want_se)
+    assert est.value.shape == est.se.shape == (k,)
+    for r, theta in enumerate(stack):
+        value, se = _paired_from_scratch(x, y, env, theta, 0.3)
+        assert est.value[r] == value
+        if want_se[r]:
+            assert est.se[r] == se
+        else:
+            assert math.isnan(est.se[r])
+    full = true_excess_risk(stack, env)
+    np.testing.assert_array_equal(full.value, est.value)
+    np.testing.assert_array_equal(full.se[want_se], est.se[want_se])
+    single = true_excess_risk(stack[3], env)
+    assert (single.value, single.se) == (full.value[3], full.se[3])
+
+
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007])
+def test_holdout_chunk_products_equal_the_full_product(n):
+    # The oracle's premise: a chunk's matrix-vector product has the bits
+    # of the full product's rows (a chunk size off the BLAS kernel's row
+    # blocks, such as 1001, moves some rows by an ulp).
+    env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
+    x, _, _ = _holdout(env, n)
+    chunk = saew.losses._HOLDOUT_CHUNK
+    rng = np.random.default_rng(8)
+    for theta in env.theta_star_metrics + 0.3 * rng.standard_normal((8, 21)):
+        chunked = np.concatenate([x[c0:c0 + chunk] @ theta
+                                  for c0 in range(0, n, chunk)])
+        assert chunked.tobytes() == (x @ theta).tobytes()
+
+
+def test_exact_risk_of_a_stack_equals_the_formula_per_row():
+    rng = np.random.default_rng(5)
+    square = make_square_env(d=40, d0=3, noise_sd=0.1, seed=2)
+    truncated = make_truncated_square_env(d=40, d0=3, noise_sd=0.1, seed=2)
+    quantile = make_quantile_env(d=39, d0=3, alpha_q=0.8, noise_sd=0.1,
+                                 seed=2)
+    q0 = quantile.theta_star_metrics[0]
+    min_risk = gaussian_pinball_risk(-q0, 0.1, 0.8)
+    v = truncated_normal_variance(2.0)
+    for env, formula in (
+            (square, lambda diff, theta: float(diff @ diff)),
+            (truncated, lambda diff, theta: v * float(diff @ diff)),
+            (quantile, lambda diff, theta: gaussian_pinball_risk(
+                -float(theta[0]),
+                math.sqrt(0.1 * 0.1 + float(diff[1:] @ diff[1:])), 0.8)
+             - min_risk)):
+        stack = env.theta_star_metrics + 0.2 * rng.standard_normal((50, 40))
+        risks = env.excess_risk_exact(stack)
+        assert risks.shape == (50,)
+        for theta, risk in zip(stack, risks):
+            expected = formula(theta - env.theta_star_metrics, theta)
+            assert risk == expected
+            assert env.excess_risk_exact(theta) == expected
+            assert isinstance(env.excess_risk_exact(theta), float)
 
 
 def test_true_excess_risk_reuses_cached_star_losses(monkeypatch):

@@ -215,6 +215,33 @@ def test_update_rejects_nonfinite_gradient():
         state.update(np.array([np.inf, 0.0]))
 
 
+def test_update_takes_a_gradient_whose_square_underflows():
+    # 1e-170 squared underflows, so v2 stays 0 while b_hat > 0: the rate
+    # falls back to 1 / (radius * b_hat) instead of dividing by zero.
+    state = eg_init(_ball(d=2, radius=0.5), B=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state.update(np.array([1e-170, 0.0]))
+    assert state.v2 == 0.0 and state.b_hat == 1e-170
+    step = (1.0 / (0.5 * 1e-170)) * 0.5 * state.grad_sum
+    log_w = np.concatenate((-step, step))
+    np.testing.assert_array_equal(state._log_weights(), log_w - log_w.max())
+    assert np.all(np.isfinite(state.predict()))
+
+
+def test_update_rejects_overflowing_gradient_unchanged():
+    state = eg_init(_ball(d=2), B=1.0)
+    state.update(np.array([0.5, -0.25]))
+    before = (state.t, state.v2, state.b_hat, state.grad_sum.copy(),
+              state.predict())
+    for g in ([1e200, 0.0], [0.0, -1.5e154]):
+        with pytest.raises(ValueError, match="finite"):
+            state.update(np.array(g))
+    assert (state.t, state.v2, state.b_hat) == before[:3]
+    np.testing.assert_array_equal(state.grad_sum, before[3])
+    assert state.predict() is before[4]
+
+
 def test_update_rejects_dimension_mismatch():
     state = eg_init(_ball(d=2), B=1.0)
     with pytest.raises(ValueError):
