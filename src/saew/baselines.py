@@ -25,6 +25,10 @@ HYPERPARAMETER_GRID: tuple[float, ...] = tuple(
 class RdaState:
     """Mutable state of the dual-averaging baseline.
 
+    One state may also run several independent learners in lockstep:
+    ``grad_sum`` and ``theta`` are then ``(S, d)`` arrays with one learner
+    per row, all at the same ``t``.
+
     Attributes:
         dimension: ambient dimension.
         gamma: step-size scale (> 0).
@@ -46,11 +50,13 @@ class RdaState:
 
 
 def rda_init(d: int, gamma: float, rho: float = 0.0,
-             lam: float = 0.0) -> RdaState:
-    """Fresh state at the origin.
+             lam: float = 0.0, rows: int | None = None) -> RdaState:
+    """Fresh state at the origin; with ``rows``, that many learners as the
+    rows of ``(rows, d)`` arrays.
 
     Raises:
-        ValueError: if ``d < 1``, ``gamma <= 0``, ``rho < 0`` or ``lam < 0``.
+        ValueError: if ``d < 1``, ``gamma <= 0``, ``rho < 0``, ``lam < 0``
+            or ``rows < 1``.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -60,8 +66,11 @@ def rda_init(d: int, gamma: float, rho: float = 0.0,
         raise ValueError(f"rho must be >= 0, got {rho}")
     if lam < 0.0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    if rows is not None and rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    shape = (d,) if rows is None else (rows, d)
     return RdaState(dimension=d, gamma=gamma, rho=rho, lam=lam, t=0,
-                    grad_sum=np.zeros(d), theta=np.zeros(d))
+                    grad_sum=np.zeros(shape), theta=np.zeros(shape))
 
 
 def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
@@ -70,15 +79,17 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
     With ``lam_t = lam + gamma*rho/sqrt(t)``, each coordinate becomes 0 if
     ``|grad_mean_j| <= lam_t`` and
     ``-(sqrt(t)/gamma)*(grad_mean_j - lam_t*sign(grad_mean_j))`` otherwise.
-    The state is modified in place and returned.
+    A state of ``(S, d)`` rows takes one gradient row per learner; every
+    operation is elementwise, so each row has the bits of its own
+    single-learner state.  The state is modified in place and returned.
 
     Raises:
         ValueError: non-finite or wrongly shaped gradient (state unchanged).
     """
     gradient = np.asarray(gradient, float)
-    if gradient.shape != (state.dimension,):
+    if gradient.shape != state.grad_sum.shape:
         raise ValueError(f"gradient has shape {gradient.shape}, "
-                         f"expected ({state.dimension},)")
+                         f"expected {state.grad_sum.shape}")
     if not np.all(np.isfinite(gradient)):
         raise ValueError("gradient must be finite")
     state.t += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 from typing import Callable, Sequence
 
@@ -25,11 +26,22 @@ import numpy as np
 
 from saew.bounds import a_prime, b_prime, delta_i, err_bound, radius_bound
 from saew.core import DenseVector, L1Ball, ProblemParams
-from saew.subroutine import EGState, RegretCertificate, eg_certificate, eg_init
+from saew.subroutine import (
+    OVER_B_WARNING,
+    EGBank,
+    EGState,
+    RegretCertificate,
+    eg_certificate,
+    eg_init,
+)
 
 SNAPSHOT_VERSION = "saew-state-v3"
 
 GradientOracle = Callable[[DenseVector], DenseVector]
+
+_D0_ZERO_WARNING = ("d0=0 is degenerate: the confidence radius is identically"
+                    " zero, every step closes a session, and the predictor"
+                    " stays 0")
 
 
 # ============================================================
@@ -145,10 +157,7 @@ def saew_init(params: ProblemParams, d: int,
     if params.d0 > d:
         raise ValueError(f"d0 must be <= d, got d0={params.d0}, d={d}")
     if params.d0 == 0:
-        warnings.warn(
-            "d0=0 is degenerate: the confidence radius is identically zero,"
-            " every step closes a session, and the predictor stays 0",
-            UserWarning)
+        warnings.warn(_D0_ZERO_WARNING, UserWarning)
     if certificate is None:
         certificate = eg_certificate(d)
     return SaewState(
@@ -243,7 +252,7 @@ def saew_estimators(state: SaewState) -> tuple[DenseVector, DenseVector]:
 
 
 # ============================================================
-# Batched square-loss fit
+# Wrappers as rows
 # ============================================================
 
 def saew_fit_square(params: Sequence[ProblemParams], d: int,
@@ -251,13 +260,11 @@ def saew_fit_square(params: Sequence[ProblemParams], d: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Run one wrapper per entry of ``params`` over a square-loss history.
 
-    The batched counterpart of :func:`saew_step`: row ``r`` of the result
-    is, bit for bit, what ``saew_init(params[r], d)`` followed by one
-    ``saew_step`` per sample in stream order, with the oracle
-    ``theta -> 2 * (x @ theta - y) * x``, leaves behind.  The wrappers are
-    rows of arrays, so a sample costs a few numpy calls on all of them;
-    only a row that closes a session takes a per-row Python step.  Unlike
-    the subroutine, the fit issues no warning for gradients above ``B``.
+    Row ``r`` of the result is, bit for bit, what ``saew_init(params[r],
+    d)`` followed by one ``saew_step`` per sample in stream order, with the
+    oracle ``theta -> 2 * (x @ theta - y) * x``, leaves behind: the
+    wrappers are the rows of one :class:`WrapperBank`.  Unlike the
+    subroutine, the fit issues no warning for gradients above ``B``.
 
     Args:
         params: one parameter set per wrapper, all with the same ``delta``.
@@ -273,13 +280,6 @@ def saew_fit_square(params: Sequence[ProblemParams], d: int,
         ValueError: ``d < 1``, some ``d0 > d``, mixed ``delta``, a history
             of the wrong shape, or a non-finite gradient.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    for p in params:
-        if p.d0 > d:
-            raise ValueError(f"d0 must be <= d, got d0={p.d0}, d={d}")
-    if len({p.delta for p in params}) > 1:
-        raise ValueError("all wrappers must share one delta")
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     if xs.size == 0:
@@ -289,9 +289,15 @@ def saew_fit_square(params: Sequence[ProblemParams], d: int,
                          f"match (T, {d}) and (T,)")
     if not params:
         return np.zeros((0, d)), np.zeros(0, dtype=int)
-    bank = _SquareBank(params, d, xs.shape[0])
-    for t, (x, y) in enumerate(zip(xs, ys.tolist()), start=1):
-        bank.step(t, x, y)
+    bank = WrapperBank(params, d, xs.shape[0],
+                       [f"wrapper {r}" for r in range(len(params))])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
+                                RuntimeWarning)
+        for t, (x, y) in enumerate(zip(xs, ys.tolist()), start=1):
+            # square_grad's arithmetic: one ddot per row.
+            coef = 2.0 * (np.vecdot(x, bank.prediction) - y)
+            bank.step(t, coef[:, None] * x)
     return bank.theta_tilde, bank.session
 
 
@@ -301,36 +307,64 @@ def _eps_factor(params: ProblemParams, i: int) -> float:
     return 2.0 * params.d0 * params.U * 2.0 ** (-i / 2.0)
 
 
-class _SquareBank:
-    """Wrapper states of :func:`saew_fit_square`, one per row.
+class WrapperBank:
+    """Acceleration wrappers, one per row of arrays, fed one gradient row
+    per wrapper at each step.
 
-    Each expression repeats the one :func:`saew_step`, ``EGState.update``
-    and the bound evaluators apply to a single wrapper, in the same order,
-    so every row rounds the same way.  ``a'`` and ``b'`` come from the
-    scalar evaluators, tabulated per (session, window) as the rows reach
-    them.
+    Row ``r`` starts as ``saew_init(params[r], d)``.  Before a step,
+    ``prediction[r]`` is the point the wrapper's oracle is queried at; the
+    caller hands :meth:`step` the gradient rows there.  After it,
+    ``theta_tilde``, ``eps``, ``session``, ``err``, ``a_prime`` and
+    ``b_prime`` hold each row's ``theta_tilde``, ``eps_t``, ``session``,
+    ``err_t``, ``a_prime_t`` and ``b_prime_t``.  Every expression repeats
+    the one :func:`saew_step`, ``EGState.update`` (through
+    :class:`EGBank`) and the bound evaluators apply to a single wrapper, in
+    the same order, so each row has its wrapper's bits.  ``a'`` and ``b'``
+    come from the scalar evaluators, tabulated per (session, window) as the
+    rows reach them.  Only a row that closes a session takes a per-row
+    Python step.
+
+    Warns:
+        UserWarning: at construction, once for each row with ``d0 == 0``,
+            as :func:`saew_init` does.
     """
 
-    def __init__(self, params: Sequence[ProblemParams], d: int, T: int):
+    def __init__(self, params: Sequence[ProblemParams], d: int, T: int,
+                 labels: Sequence[str]):
+        """Fresh wrappers, at least one, for ``T`` steps in dimension
+        ``d``; ``labels`` name the rows in error messages.
+
+        Raises:
+            ValueError: ``d < 1``, some ``d0 > d``, or mixed ``delta``.
+        """
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        for p in params:
+            if p.d0 > d:
+                raise ValueError(f"d0 must be <= d, got d0={p.d0}, d={d}")
+        if len({p.delta for p in params}) > 1:
+            raise ValueError("all wrappers must share one delta")
+        for p in params:
+            if p.d0 == 0:
+                warnings.warn(_D0_ZERO_WARNING, UserWarning)
         n = len(params)
         self.params = params
-        self.d = d
         self.delta = params[0].delta
         self.certificate = eg_certificate(d)
-        self.root_log_2d = math.sqrt(math.log(2 * d))
         self.alpha = np.array([p.alpha for p in params])
         self.B = np.array([p.B for p in params])
+        self.eg = EGBank(np.zeros((n, d)), [p.U for p in params], self.B,
+                         labels)
         self.session = np.zeros(n, dtype=int)
-        self.start = np.ones(n, dtype=int)
-        self.radius = np.array([p.U for p in params])
+        # Steps taken in the current session, the window length.
+        self.window = np.zeros(n, dtype=int)
         self.next_radius = np.array([_session_radius(p, 1) for p in params])
         self.eps_factor = np.array([_eps_factor(p, 0) for p in params])
-        self.eps_min = self.radius.copy()
-        self.center = np.zeros((n, d))
-        self.prediction = np.zeros((n, d))
-        self.grad_sum = np.zeros((n, d))
-        self.v2 = np.zeros(n)
-        self.b_hat = np.zeros(n)
+        self.eps_min = np.array([p.U for p in params])
+        self.eps = self.eps_min.copy()
+        self.err = np.zeros(n)
+        self.a_prime = np.zeros(n)
+        self.b_prime = np.zeros(n)
         self.theta_bar_sum = np.zeros((n, d))
         self.theta_tilde = np.zeros((n, d))
         # a'/b' of (session i, window w) at flat index i * width + w; zero
@@ -341,68 +375,46 @@ class _SquareBank:
         self.b_table = np.zeros(0)
         self._grow_tables(1)
 
-    def step(self, t: int, x: np.ndarray, y: float) -> None:
-        theta_hat = self.prediction
-        # One ddot per row, as in float(x @ theta); a matrix-vector product
-        # rounds differently.
-        coef = 2.0 * (np.vecdot(theta_hat, x) - y)
-        grad = coef[:, None] * x
-        linf = np.abs(grad).max(axis=1)
-        self.theta_bar_sum += theta_hat
-        # EGState.update leaves a row with a zero gradient unchanged.
-        if linf.all():
-            self._eg_update(slice(None), grad, linf, t)
-        elif linf.any():
-            rows = np.flatnonzero(linf)
-            self._eg_update(rows, grad[rows], linf[rows], t)
+    @property
+    def prediction(self) -> np.ndarray:
+        """The ``(N, d)`` points of the next step's oracle queries (the
+        subroutines' predictions; rewritten in place by :meth:`step`)."""
+        return self.eg.prediction
 
-        window = (t + 1) - self.start
+    def step(self, t: int, grad: np.ndarray) -> None:
+        """Step ``t`` of every wrapper, with ``grad[r]`` the gradient at
+        ``prediction[r]``.
+
+        Raises:
+            ValueError: a gradient :meth:`EGBank.update` rejects (no row
+                changed).
+        """
+        eg = self.eg
+        theta_hat = eg.prediction.copy()
+        eg.update(grad, t)
+        self.theta_bar_sum += theta_hat
+        self.window += 1
+        window = self.window
         a_p, b_p = self._inflated(self.session * self.width + window)
-        err = a_p * np.sqrt(self.v2) + b_p * self.B
-        eps = 2.0 * np.sqrt(self.eps_factor * err / (self.alpha * window))
+        self.a_prime, self.b_prime = a_p, b_p
+        self.err = a_p * np.sqrt(eg.v2) + b_p * self.B
+        self.eps = eps = 2.0 * np.sqrt(self.eps_factor * self.err
+                                       / (self.alpha * window))
 
         better = eps < self.eps_min
-        if better.any():
+        if np.count_nonzero(better):
             np.divide(self.theta_bar_sum, window[:, None],
                       out=self.theta_tilde, where=better[:, None])
             np.minimum(self.eps_min, eps, out=self.eps_min)
         closing = eps <= self.next_radius
-        if closing.any():
+        if np.count_nonzero(closing):
             for r in np.flatnonzero(closing).tolist():
-                self._close(r, t, int(window[r]), float(eps[r]))
-
-    def _eg_update(self, rows, grad: np.ndarray, linf: np.ndarray,
-                   t: int) -> None:
-        v2 = self.v2[rows] + linf * linf
-        if not math.isfinite(v2.max()):
-            raise ValueError(f"non-finite square-loss gradient at sample {t}")
-        b_hat = np.maximum(self.b_hat[rows], linf)
-        grad_sum = self.grad_sum[rows] + grad
-        self.v2[rows] = v2
-        self.b_hat[rows] = b_hat
-        self.grad_sum[rows] = grad_sum
-        radius = self.radius[rows]
-        # As in EGState._log_weights: +inf where v2 underflowed to 0.
-        radius_root_v2 = radius * np.sqrt(v2)
-        eta = np.minimum(1.0 / (radius * b_hat),
-                         np.divide(self.root_log_2d, radius_root_v2,
-                                   out=np.full_like(radius_root_v2, np.inf),
-                                   where=radius_root_v2 > 0.0))
-        step = (eta * radius)[:, None] * grad_sum
-        log_w = np.concatenate((-step, step), axis=1)
-        log_w -= log_w.max(axis=1, keepdims=True)
-        # The max of log_w is now 0, so this is the prediction refresh's
-        # exp(log_w - max(log_w)).
-        w = np.exp(log_w)
-        scale = radius / w.sum(axis=1)
-        d = self.d
-        self.prediction[rows] = (self.center[rows]
-                                 + scale[:, None] * (w[:, :d] - w[:, d:]))
+                self._close(r, float(eps[r]))
 
     def _inflated(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``a'`` and ``b'`` at the flat (session, window) indices ``k``."""
         a_p, b_p = self.a_table[k], self.b_table[k]
-        if not b_p.all():
+        if np.count_nonzero(b_p) < len(b_p):
             for key in set(k[b_p == 0.0].tolist()):
                 self._tabulate(*divmod(key, self.width))
             a_p, b_p = self.a_table[k], self.b_table[k]
@@ -432,25 +444,20 @@ class _SquareBank:
             self.b_table = np.concatenate(
                 (self.b_table, np.zeros(grow * self.width)))
 
-    def _close(self, r: int, t: int, window: int, eps: float) -> None:
-        """Close row ``r``'s session at step ``t``, cascade included."""
+    def _close(self, r: int, eps: float) -> None:
+        """Close row ``r``'s session, cascade included."""
         p = self.params[r]
-        center = truncate_top(self.theta_bar_sum[r] / window, p.d0)
+        center = truncate_top(self.theta_bar_sum[r] / int(self.window[r]),
+                              p.d0)
         i = int(self.session[r]) + 1
         while p.d0 > 0 and eps <= _session_radius(p, i + 1):
             i += 1
         self._grow_tables(i + 1)
         self.session[r] = i
-        self.start[r] = t + 1
-        self.radius[r] = _session_radius(p, i)
+        self.window[r] = 0
         self.next_radius[r] = _session_radius(p, i + 1)
         self.eps_factor[r] = _eps_factor(p, i)
-        self.center[r] = center
-        # A fresh subroutine's uniform weights predict its center.
-        self.prediction[r] = center
-        self.grad_sum[r] = 0.0
-        self.v2[r] = 0.0
-        self.b_hat[r] = 0.0
+        self.eg.reset(r, center, _session_radius(p, i))
         self.theta_bar_sum[r] = 0.0
 
 

@@ -9,9 +9,12 @@ the standard diagnostic figures offline.
 Seeding contract: the experiment's seed list is used directly as
 environment master seeds; each environment expands its master seed into
 per-component child streams, so runs are independent and adding a seed
-never perturbs the others.  Multi-seed execution can be parallelized
-across processes; workers share no mutable state and results are merged
-after completion, so parallel output is byte-identical to serial output.
+never perturbs the others.  The seeds run as the rows of one learner
+state, stepped together by one per-step loop; rows share no data, so each
+seed's output is what a run of that seed alone gives.  The loop can be
+split across processes, each taking a contiguous slice of the seeds;
+results are merged after completion, so parallel output is byte-identical
+to serial output.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from saew.calibration import run_calibration
 from saew.core import (
     BASE_COLUMNS,
     Environment,
-    L1Ball,
     ProblemParams,
     RunRecord,
     config_hash,
     write_table,
 )
-from saew.engine import saew_estimators, saew_init, saew_step
+from saew.engine import WrapperBank
+# Unused here; benchmarks/tracer.py wraps these names in this module.
+from saew.engine import saew_estimators, saew_init, saew_step  # noqa: F401
 from saew.losses import (
     make_quantile_env,
     make_square_env,
@@ -46,7 +50,7 @@ from saew.losses import (
     square_grad,
     true_excess_risk,
 )
-from saew.subroutine import eg_init
+from saew.subroutine import EGBank
 
 ENVIRONMENTS = ("square", "truncated_square", "quantile")
 ALGORITHMS = ("saew", "eg", "rda", "calibrate")
@@ -326,7 +330,9 @@ def build_environment(config: ExperimentConfig, seed: int) -> Environment:
 
 
 def _gradient_fn(env: Environment
-                 ) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
+                 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray],
+                               np.ndarray]:
+    """The loss gradient ``(theta, x, y) -> g``, row-wise on stacks."""
     if env.loss == "square":
         return square_grad
     alpha_q = float(env.config["alpha_q"])
@@ -406,102 +412,143 @@ class _BlockScorer:
 
 
 # ============================================================
-# Single-seed runs
+# Runs
 # ============================================================
 
-# Steps run_one_seed records before scoring them in one block.
+# Steps between scorings, and covariate rows drawn at a time.
 _BLOCK = 256
 
 
 def run_one_seed(config: ExperimentConfig, seed: int) -> RunRecord:
     """Run the configured algorithm once and return its per-step record.
 
-    Pure apart from RNG seeded by ``seed``; no files are touched, so seeds
-    can run in separate processes and merge results deterministically.
-    The per-step loop only records the estimates; they are scored a block
-    of steps at a time.
+    The one-seed call of the loop that :func:`run_experiment` runs on
+    many seeds at once.  Pure apart from RNG seeded by ``seed``; no files
+    are touched.
     """
-    env = build_environment(config, seed)
-    xs, ys = env.draw(config.T)
-    grad = _gradient_fn(env)
-    hash_ = config_hash(config.as_mapping())
+    return _run_seeds(config, (seed,))[0]
+
+
+def _run_seeds(config: ExperimentConfig,
+               seeds: Sequence[int]) -> list[RunRecord]:
+    """Run the configured algorithm once per seed; one record per seed.
+
+    The seeds' learners are the rows of one state, and one per-step loop
+    steps them all.  Rows share no data, so each record has the bits of a
+    run of its seed alone.  The loop only records the estimates; a block
+    of steps at a time, the covariates are drawn and the estimates scored.
+
+    Raises:
+        ValueError: a non-finite gradient (the message names the seed and
+            the step).
+    """
+    envs = [build_environment(config, seed) for seed in seeds]
+    T, d = config.T, envs[0].dimension
+    # Each response vector is one matrix-vector product over all T rows,
+    # which per-block products would not always match to the bit; the
+    # covariates of that draw are dropped at once and drawn again a block
+    # at a time.
+    ys = np.array([env.draw(T)[1] for env in envs])
+    blocks = zip(*(env.covariate_blocks(T, _BLOCK) for env in envs))
+    grad = _gradient_fn(envs[0])
+    step = _learner(config, seeds, d)
+    scorers = [_BlockScorer(env, config.mc_risk) for env in envs]
 
     columns: tuple[str, ...] = BASE_COLUMNS
-    if env.loss == "pinball":
+    if envs[0].loss == "pinball":
         columns = columns + ("risk_se",)
     if config.algorithm == "saew" and config.trace_bounds:
         columns = columns + TRACE_COLUMNS
+    # Columns filled from the learner's extras, then from the scorer.
+    extra_columns = [columns.index(name) for name in
+                     ("epsilon", "session") + TRACE_COLUMNS if name in columns]
+    metric_columns = [columns.index(name) for name in
+                      ("l2_error", "risk_hat", "risk_tilde", "cum_risk",
+                       "risk_se") if name in columns]
 
-    T = config.T
-    step = _learner(config, env.dimension)
-    scorer = _BlockScorer(env, config.mc_risk)
-    block = np.empty((min(T, _BLOCK), 2, env.dimension))
-    metrics = np.empty((T, 5))
-    extras = []
-    for t in range(T):
-        x, y = xs[t], float(ys[t])
-        theta_hat, theta_tilde, extra = step(lambda theta: grad(theta, x, y))
-        j = t % len(block)
-        block[j, 0] = theta_hat
-        block[j, 1] = theta_tilde
-        extras.append(extra)
-        if j == len(block) - 1 or t == T - 1:
-            metrics[t - j:t + 1] = scorer.score(block[:j + 1])
-    # extras hold epsilon and session, then any trace columns; the
-    # standard error sits between them.
-    extras = np.array(extras)
-    parts = [np.arange(1.0, T + 1.0), metrics[:, :4], extras[:, :2]]
-    if env.loss == "pinball":
-        parts.append(metrics[:, 4])
-    parts.append(extras[:, 2:])
-    record = RunRecord(columns=columns, rows=np.column_stack(parts),
-                       seed=seed, config_hash=hash_)
-    record.validate()
-    return record
+    rows = np.zeros((len(seeds), T, len(columns)))
+    rows[:, :, 0] = np.arange(1.0, T + 1.0)
+    thetas = np.empty((len(seeds), min(T, _BLOCK), 2, d))
+    start = 0
+    for x_parts in blocks:
+        # (steps, seeds, d): each step's covariates are contiguous rows.
+        xs = np.stack(x_parts, axis=1)
+        ys_block = ys[:, start:start + len(xs)].T
+        for j, (x, y) in enumerate(zip(xs, ys_block)):
+            theta_hat, theta_tilde, extra = step(
+                start + j + 1, lambda theta: grad(theta, x, y))
+            thetas[:, j, 0] = theta_hat
+            thetas[:, j, 1] = theta_tilde
+            for column, values in zip(extra_columns, extra):
+                rows[:, start + j, column] = values
+        stop = start + len(xs)
+        for record_rows, scorer, block in zip(rows, scorers, thetas):
+            record_rows[start:stop, metric_columns] = scorer.score(
+                block[:len(xs)])[:, :len(metric_columns)]
+        start = stop
+    hash_ = config_hash(config.as_mapping())
+    records = []
+    for seed, record_rows in zip(seeds, rows):
+        record = RunRecord(columns=columns, rows=record_rows, seed=seed,
+                           config_hash=hash_)
+        record.validate()
+        records.append(record)
+    return records
 
 
-def _learner(config: ExperimentConfig, d: int) -> Callable:
-    """One step of the configured algorithm on a fresh state.
+def _learner(config: ExperimentConfig, seeds: Sequence[int],
+             d: int) -> Callable:
+    """One step of the configured algorithm, one learner per seed as the
+    rows of one fresh state.
 
-    ``step(oracle)`` predicts ``theta_hat``, feeds it the oracle's
-    gradient there, and returns ``(theta_hat, theta_tilde, extra)``.
+    ``step(t, oracle)`` predicts the ``(S, d)`` ``theta_hat``, feeds it the
+    oracle's gradient rows there, and returns ``(theta_hat, theta_tilde,
+    extra)``, with ``extra`` the rows' ``epsilon`` and ``session`` and any
+    trace columns (empty where they are all zero).
     """
+    labels = [f"seed {seed}" for seed in seeds]
     if config.algorithm == "saew":
         params = ProblemParams(d0=config.wrapper_d0(), alpha=config.alpha,
                                U=config.U, B=config.B, delta=config.delta)
-        state = saew_init(params, d)
-        d0 = max(params.d0, 1)
+        bank = WrapperBank([params] * len(seeds), d, config.T, labels)
+        l2_scale = 2.0 * math.sqrt(2.0 * max(params.d0, 1))
 
-        def step(oracle):
-            theta_hat = saew_estimators(state)[0]
-            saew_step(state, oracle)
-            extra = (state.eps_t, float(state.session))
+        def step(t, oracle):
+            theta_hat = bank.prediction.copy()
+            bank.step(t, oracle(theta_hat))
+            extra = (bank.eps, bank.session)
             if config.trace_bounds:
-                extra += (state.err_t, state.a_prime_t, state.b_prime_t,
-                          state.eps_t / (2.0 * math.sqrt(2.0 * d0)))
-            return theta_hat, saew_estimators(state)[1], extra
+                extra += (bank.err, bank.a_prime, bank.b_prime,
+                          bank.eps / l2_scale)
+            return theta_hat, bank.theta_tilde, extra
         return step
 
     if config.algorithm == "eg":
-        eg = eg_init(L1Ball(np.zeros(d), config.U), config.B)
-        average = np.zeros(d)
+        eg = EGBank(np.zeros((len(seeds), d)), [config.U] * len(seeds),
+                    [config.B] * len(seeds), labels)
+        average = np.zeros((len(seeds), d))
 
-        def step(oracle):
+        def step(t, oracle):
             nonlocal average
-            theta_hat = eg.predict()
-            eg.update(oracle(theta_hat))
-            average += (theta_hat - average) / eg.t
-            return theta_hat, average, (0.0, 0.0)
+            theta_hat = eg.prediction.copy()
+            eg.update(oracle(theta_hat), t)
+            average += (theta_hat - average) / t
+            return theta_hat, average, ()
         return step
 
     if config.algorithm == "rda":
         rda = rda_init(d, config.rda_gamma, rho=config.rda_rho,
-                       lam=config.rda_lambda)
+                       lam=config.rda_lambda, rows=len(seeds))
 
-        def step(oracle):
+        def step(t, oracle):
             theta_hat = rda_predict(rda)
-            rda_step(rda, oracle(theta_hat))
-            return theta_hat, rda_predict(rda), (0.0, 0.0)
+            gradient = oracle(theta_hat)
+            finite = np.isfinite(gradient).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{labels[np.flatnonzero(~finite)[0]]}: "
+                                 f"the gradient at step {t} is not finite")
+            rda_step(rda, gradient)
+            return theta_hat, rda_predict(rda), ()
         return step
 
     raise ConfigError("algorithm",
@@ -516,16 +563,32 @@ def _seed_csv_name(seed: int) -> str:
     return f"run_seed{seed}.csv"
 
 
+def _contiguous_slices(seeds: Sequence[int],
+                       parts: int) -> list[tuple[int, ...]]:
+    """``seeds`` cut into ``min(parts, len(seeds))`` contiguous slices
+    whose lengths differ by at most one, longer slices first."""
+    parts = min(parts, len(seeds))
+    size, longer = divmod(len(seeds), parts)
+    slices, start = [], 0
+    for k in range(parts):
+        stop = start + size + (k < longer)
+        slices.append(tuple(seeds[start:stop]))
+        start = stop
+    return slices
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     """Run every seed, write per-seed CSVs plus ``summary.csv``.
 
-    Runs are independent; with ``workers > 1`` they execute in separate
-    processes and the merged output is identical to serial execution.
+    The seeds run as the rows of one loop; with ``workers > 1`` each of
+    that many processes runs the loop on a contiguous slice of the seed
+    list.  Rows are independent, so the output is identical either way.
 
     Returns the written file paths (per-seed CSVs, then summary files).
 
     Raises:
         ConfigError: invalid configuration.
+        ValueError: a non-finite gradient (nothing is written).
         OSError: unwritable output directory.
     """
     config.validate()
@@ -535,12 +598,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_one_seed,
-                                    [config] * len(config.seeds),
-                                    config.seeds))
+        slices = _contiguous_slices(config.seeds, workers)
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            records = [record for part in pool.map(
+                _run_seeds, [config] * len(slices), slices)
+                for record in part]
     else:
-        records = [run_one_seed(config, seed) for seed in config.seeds]
+        records = _run_seeds(config, config.seeds)
 
     paths = []
     for record in records:

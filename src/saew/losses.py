@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -70,12 +70,27 @@ def square_loss(theta: DenseVector, x: DenseVector, y: float) -> float:
     return r * r
 
 
-def square_grad(theta: DenseVector, x: DenseVector, y: float) -> DenseVector:
-    """Return the square-loss gradient ``2x(x.theta - y)``."""
+def _check_stack_dims(theta: np.ndarray, x: np.ndarray) -> None:
+    if theta.shape[-1:] != x.shape[-1:] or max(theta.ndim, x.ndim) > 2:
+        raise ValueError(f"dimension mismatch: theta {theta.shape}, x {x.shape}")
+
+
+def square_grad(theta: DenseVector, x: DenseVector,
+                y: float | np.ndarray) -> DenseVector:
+    """Return the square-loss gradient ``2x(x.theta - y)``.
+
+    ``theta`` and ``x`` may also be ``(k, d)`` stacks (one of them may be a
+    single vector shared by every row), with one response per row in
+    ``y``: row ``i`` is the gradient of sample ``i`` at ``theta[i]``, with
+    the bits of the single-vector call.
+    """
     theta = np.asarray(theta, float)
     x = np.asarray(x, float)
-    _check_dims(theta, x)
-    return 2.0 * (float(x @ theta) - float(y)) * x
+    _check_stack_dims(theta, x)
+    # One ddot per row, as in float(x @ theta); a matrix-vector product
+    # rounds differently.
+    coef = 2.0 * (np.vecdot(x, theta) - y)
+    return coef[..., None] * x
 
 
 def pinball_loss(theta: DenseVector, x: DenseVector, y: float,
@@ -90,20 +105,21 @@ def pinball_loss(theta: DenseVector, x: DenseVector, y: float,
     return u * (alpha_q - (1.0 if u < 0.0 else 0.0))
 
 
-def pinball_subgrad(theta: DenseVector, x: DenseVector, y: float,
-                    alpha_q: float) -> DenseVector:
+def pinball_subgrad(theta: DenseVector, x: DenseVector,
+                    y: float | np.ndarray, alpha_q: float) -> DenseVector:
     """Return a pinball subgradient ``-x*(alpha_q - [u <= 0])``.
 
     At the kink ``u = 0`` the element with factor ``alpha_q - 1`` is
     returned (a fixed, deterministic choice from the subdifferential).
+    Stacks work as in :func:`square_grad`.
     """
     if not (0.0 < alpha_q < 1.0):
         raise ValueError("alpha_q must lie in (0, 1)")
     theta = np.asarray(theta, float)
     x = np.asarray(x, float)
-    _check_dims(theta, x)
-    u = float(y) - float(x @ theta)
-    return -(alpha_q - (1.0 if u <= 0.0 else 0.0)) * x
+    _check_stack_dims(theta, x)
+    u = y - np.vecdot(x, theta)
+    return -(alpha_q - (u <= 0.0))[..., None] * x
 
 
 # ============================================================
@@ -152,6 +168,19 @@ def _one_or_many(risks: Callable[[np.ndarray], np.ndarray]
     return risk
 
 
+def _blockwise(seed: int, design: Callable[[np.random.Generator, int],
+                                            np.ndarray]
+               ) -> Callable[[int, int], Iterator[np.ndarray]]:
+    """A stream's ``covariate_blocks``: ``design(rng, n)`` draws the next
+    ``n`` covariate rows from the design generator, which fills its output
+    in order, so consecutive blocks are the rows of one full draw."""
+    def covariate_blocks(n: int, block: int) -> Iterator[np.ndarray]:
+        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        for start in range(0, n, block):
+            yield design(rng_x, min(block, n - start))
+    return covariate_blocks
+
+
 def _sparse_unit_l1_parameter(d: int, d0: int,
                               rng: np.random.Generator) -> np.ndarray:
     """A vector with d0 nonzeros at random positions, rescaled to l1 norm 1."""
@@ -189,10 +218,13 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
     theta_star = _sparse_unit_l1_parameter(
         d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
 
+    def design(rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_normal((n, d))
+
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         rng_e = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        x = rng_x.standard_normal((n, d))
+        x = design(rng_x, n)
         y = x @ theta_star + noise_sd * rng_e.standard_normal(n)
         return x, y
 
@@ -206,6 +238,7 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
               "alpha_q": None, "seed": seed}
     return Environment(dimension=d, loss="square", seed=seed, config=config,
                        theta_star_metrics=theta_star, draw=draw,
+                       covariate_blocks=_blockwise(seed, design),
                        excess_risk_exact=excess_risk_exact)
 
 
@@ -244,12 +277,14 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
     lo_x = _Phi(-x_bound)
     lo_e = _Phi(-noise_bound_sds)
 
+    def design(rng: np.random.Generator, n: int) -> np.ndarray:
+        # Inverse-CDF sampling of the truncated normals.
+        return ndtri(rng.uniform(lo_x, 1.0 - lo_x, size=(n, d)))
+
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         rng_e = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        # Inverse-CDF sampling of the truncated normals.
-        u_x = rng_x.uniform(lo_x, 1.0 - lo_x, size=(n, d))
-        x = ndtri(u_x)
+        x = design(rng_x, n)
         u_e = rng_e.uniform(lo_e, 1.0 - lo_e, size=n)
         y = x @ theta_star + noise_sd * ndtri(u_e)
         return x, y
@@ -266,6 +301,7 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
               "alpha": v}
     return Environment(dimension=d, loss="square", seed=seed, config=config,
                        theta_star_metrics=theta_star, draw=draw,
+                       covariate_blocks=_blockwise(seed, design),
                        excess_risk_exact=excess_risk_exact)
 
 
@@ -307,6 +343,9 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
         y = x @ theta_base + noise_sd * rng_e.standard_normal(n)
         return np.hstack([np.ones((n, 1)), x]), y
 
+    def design(rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.hstack([np.ones((n, 1)), rng.standard_normal((n, d))])
+
     @_one_or_many
     def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
         dv = theta_base - thetas[:, 1:]
@@ -321,7 +360,8 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
               "alpha_q": alpha_q, "seed": seed}
     return Environment(dimension=d + 1, loss="pinball", seed=seed,
                        config=config, theta_star_metrics=theta_star,
-                       draw=draw, excess_risk_exact=excess_risk_exact)
+                       draw=draw, covariate_blocks=_blockwise(seed, design),
+                       excess_risk_exact=excess_risk_exact)
 
 
 # ============================================================

@@ -21,9 +21,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
+
 import numpy as np
 
 from saew.core import DenseVector, L1Ball
+
+# The once-per-forecaster warning of EGState.update and EGBank.update.
+OVER_B_WARNING = ("observed gradient sup-norm exceeds the declared bound B; "
+                  "continuing with the running max")
 
 
 # ============================================================
@@ -99,19 +105,18 @@ class EGState:
     def _log_weights(self) -> np.ndarray:
         """Corner log-weights in a ball of positive radius, shifted so their
         max is 0; all zero before the first nonzero gradient."""
-        d, radius = self.ball.dimension, self.ball.radius
         if self.b_hat == 0.0:
-            return np.zeros(2 * d)
+            return np.zeros(2 * self.ball.dimension)
+        radius = self.ball.radius
         # v2 underflows to 0 under sup-norms below about 1e-162 while b_hat
-        # stays positive; the second term is then +inf.
+        # stays positive, and radius * b_hat can round to 0 or its inverse
+        # overflow: a term whose quotient is not finite is +inf.
+        radius_b_hat = radius * self.b_hat
         radius_root_v2 = radius * math.sqrt(self.v2)
-        by_v2 = (math.sqrt(math.log(2 * d)) / radius_root_v2
+        by_b_hat = 1.0 / radius_b_hat if radius_b_hat > 0.0 else math.inf
+        by_v2 = (math.sqrt(math.log(2 * self.ball.dimension)) / radius_root_v2
                  if radius_root_v2 > 0.0 else math.inf)
-        eta = min(1.0 / (radius * self.b_hat), by_v2)
-        step = (eta * radius) * self.grad_sum
-        log_w = np.concatenate((-step, step))
-        log_w -= np.max(log_w)
-        return log_w
+        return _log_weights_at(min(by_b_hat, by_v2) * radius, self.grad_sum)
 
     def _refresh_prediction(self) -> None:
         # A new array each time: callers may still hold the previous one.
@@ -137,7 +142,9 @@ class EGState:
             eta_t = min( 1 / (radius * b_hat),
                          sqrt(ln(2d)) / (radius * sqrt(v2)) ),
 
-        where ``v2`` and ``b_hat`` include the current gradient.  Recomputing
+        where ``v2`` and ``b_hat`` include the current gradient (a term whose
+        quotient is not finite is +inf; where ``eta_t * radius`` is +inf, the
+        weights are their limit, all on the best corners).  Recomputing
         at the current rate (rather than multiplying the old weights, which
         would freeze stale early rates into the state forever) is what keeps
         the regret inside the certificate for every gradient sequence.  A
@@ -168,15 +175,148 @@ class EGState:
         if linf == 0.0:
             return self
         if self.b_hat <= self.B < linf:
-            warnings.warn(
-                "observed gradient sup-norm exceeds the declared bound B; "
-                "continuing with the running max",
-                RuntimeWarning, stacklevel=2)
+            warnings.warn(OVER_B_WARNING, RuntimeWarning, stacklevel=2)
         self.b_hat = max(self.b_hat, linf)
         self.v2 = v2
         self.grad_sum += gradient
         self._refresh_prediction()
         return self
+
+
+def _log_weights_at(rate: float, grad_sum: np.ndarray) -> np.ndarray:
+    """Corner log-weights ``-+ rate * grad_sum`` shifted so their max is 0,
+    at the step scale ``rate = eta * radius``.
+
+    Where ``rate`` overflowed to +inf (sup-norms near the smallest
+    doubles), the weights are their limit as the rate grows: all weight,
+    shared equally, on the corners of largest ``-+ grad_sum``.
+    """
+    if rate == math.inf:
+        log_w = np.concatenate((-grad_sum, grad_sum))
+        return np.where(log_w == log_w.max(), 0.0, -np.inf)
+    step = rate * grad_sum
+    log_w = np.concatenate((-step, step))
+    log_w -= np.max(log_w)
+    return log_w
+
+
+class EGBank:
+    """Independent :class:`EGState` forecasters, one per row of arrays.
+
+    :meth:`update` applies ``EGState.update`` to every row with the same
+    operations in the same order, so each row's prediction has the bits of
+    its own forecaster's.  :meth:`reset` starts a row's forecaster afresh
+    in another ball.
+
+    Attributes:
+        center: ``(N, d)`` ball centers.
+        radius: ``(N,)`` ball radii.
+        B: ``(N,)`` declared sup-norm bounds.
+        grad_sum, v2, b_hat: each row's ``EGState`` fields.
+        prediction: ``(N, d)`` predictions, rewritten in place by
+            :meth:`update` and :meth:`reset`.
+        labels: a name for each row, used in error messages.
+    """
+
+    def __init__(self, center: np.ndarray, radius: np.ndarray,
+                 B: np.ndarray, labels: Sequence[str]):
+        self.center = np.array(center, float)
+        n, d = self.center.shape
+        self.radius = np.array(radius, float)
+        self.B = np.array(B, float)
+        self.labels = list(labels)
+        self.root_log_2d = math.sqrt(math.log(2 * d))
+        self.grad_sum = np.zeros((n, d))
+        self.v2 = np.zeros(n)
+        self.b_hat = np.zeros(n)
+        # A fresh forecaster's uniform weights predict its center.
+        self.prediction = self.center.copy()
+
+    def reset(self, r: int, center: np.ndarray, radius: float) -> None:
+        """Give row ``r`` a fresh forecaster in the ball ``(center, radius)``."""
+        self.center[r] = center
+        self.radius[r] = radius
+        self.prediction[r] = center
+        self.grad_sum[r] = 0.0
+        self.v2[r] = 0.0
+        self.b_hat[r] = 0.0
+
+    def update(self, grad: np.ndarray, t: int) -> None:
+        """Fold row ``r`` of the ``(N, d)`` ``grad`` into forecaster ``r``.
+
+        A row with a zero gradient is left unchanged, as in
+        ``EGState.update``.
+
+        Raises:
+            ValueError: a gradient that is not finite, or whose squared
+                sup-norm overflows its row's ``v2``; the message names the
+                row's label and the step ``t``, and no row is changed.
+
+        Warns:
+            RuntimeWarning: at most once per call, when a row's gradient is
+                the first of its forecaster to exceed that row's ``B``.
+        """
+        # np.count_nonzero and ufunc reductions: the array methods cost
+        # more per call on a few rows.
+        linf = np.maximum.reduce(np.abs(grad), axis=1)
+        nonzero = np.count_nonzero(linf)
+        if nonzero == len(linf):
+            self._update(slice(None), grad, linf, t)
+        elif nonzero:
+            rows = np.flatnonzero(linf)
+            self._update(rows, grad[rows], linf[rows], t)
+
+    def _update(self, rows, grad: np.ndarray, linf: np.ndarray,
+                t: int) -> None:
+        v2 = self.v2[rows] + linf * linf
+        if not math.isfinite(np.maximum.reduce(v2)):
+            r = np.arange(len(self.v2))[rows][~np.isfinite(v2)][0]
+            raise ValueError(
+                f"{self.labels[r]}: the gradient at step {t} is not finite, "
+                "or the sum of squared sup-norms v2 would not be")
+        b_hat, B = self.b_hat[rows], self.B[rows]
+        if (np.count_nonzero(linf > B)
+                and np.count_nonzero((b_hat <= B) & (B < linf))):
+            warnings.warn(OVER_B_WARNING, RuntimeWarning, stacklevel=3)
+        b_hat = np.maximum(b_hat, linf)
+        grad_sum = self.grad_sum[rows] + grad
+        self.v2[rows] = v2
+        self.b_hat[rows] = b_hat
+        self.grad_sum[rows] = grad_sum
+        radius = self.radius[rows]
+        # As in EGState._log_weights, a quotient that is not finite is +inf
+        # (numpy's inf for a zero or tiny denominator).  A row of radius 0
+        # gets a NaN rate here and predicts its center below.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate = np.minimum(1.0 / (radius * b_hat),
+                              self.root_log_2d / (radius * np.sqrt(v2)))
+            rate *= radius
+        d = grad_sum.shape[1]
+        # Corner log-weights -step, then step, with step = rate * grad_sum.
+        log_w = np.empty((len(rate), 2 * d))
+        regular = np.maximum.reduce(rate) < np.inf
+        if regular:
+            np.multiply(rate[:, None], grad_sum, out=log_w[:, d:])
+            np.negative(log_w[:, d:], out=log_w[:, :d])
+            log_w -= np.maximum.reduce(log_w, axis=1, keepdims=True)
+        else:
+            # Rare: an overflowing rate, or a ball of radius 0.
+            log_w[:] = 0.0
+            for k in np.flatnonzero(radius > 0.0).tolist():
+                log_w[k] = _log_weights_at(float(rate[k]), grad_sum[k])
+        # The max of log_w is 0, so this is the prediction refresh's
+        # exp(log_w - max(log_w)), and the prediction is its
+        # center + scale * (w[:d] - w[d:]).
+        w = np.exp(log_w, out=log_w)
+        scale = radius / np.add.reduce(w, axis=1)
+        prediction = w[:, :d] - w[:, d:]
+        prediction *= scale[:, None]
+        center = self.center[rows]
+        prediction += center
+        if not regular:
+            flat = radius == 0.0
+            prediction[flat] = center[flat]
+        self.prediction[rows] = prediction
 
 
 # ============================================================

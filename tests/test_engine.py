@@ -23,6 +23,7 @@ from saew.core import BALL_TOL, L1Ball, ProblemParams, ball_contains, l1_norm
 from saew.engine import (
     SNAPSHOT_VERSION,
     SaewState,
+    WrapperBank,
     saew_estimators,
     saew_fit_square,
     saew_init,
@@ -31,7 +32,13 @@ from saew.engine import (
     saew_step,
     truncate_top,
 )
-from saew.losses import make_square_env, make_truncated_square_env, square_grad
+from saew.losses import (
+    make_quantile_env,
+    make_square_env,
+    make_truncated_square_env,
+    pinball_subgrad,
+    square_grad,
+)
 from saew.subroutine import RegretCertificate
 
 
@@ -929,3 +936,102 @@ def test_fit_square_rejects_overflowing_gradients_like_saew_step():
             saew_fit_square([p], 2, xs, ys)
     with pytest.raises(ValueError, match="finite"):
         _replica_states([p], 2, xs, ys)
+
+
+def test_fit_square_takes_a_subnormal_residual_like_saew_step():
+    # The first residual is 5e-324: the gradient's sup-norm 1e-323 makes
+    # 1 / (U * b_hat) overflow, and both paths take the rate's limit.
+    d = 2
+    env = make_square_env(d=d, d0=1, noise_sd=0.2, seed=6)
+    xs, ys = env.draw(30)
+    xs[0], ys[0] = [1.0, 0.0], -5e-324
+    params = [ProblemParams(d0=1, alpha=alpha, U=U, B=100.0, delta=0.05)
+              for alpha in (960.0, 1.0) for U in (1.0, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta_tilde, states = _assert_fit_matches_replicas(params, d, xs, ys)
+    assert np.all(np.isfinite(theta_tilde))
+    state = saew_init(params[0], d)
+    saew_step(state, lambda theta: square_grad(theta, xs[0], ys[0]))
+    np.testing.assert_array_equal(state.optimizer.predict(), [-1.0, 0.0])
+
+
+def test_fit_square_issues_no_warning_above_B():
+    env = make_square_env(d=5, d0=1, noise_sd=0.2, seed=2)
+    xs, ys = env.draw(200)
+    params = [ProblemParams(d0=1, alpha=30.0, U=1.0, B=0.01, delta=0.05)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        saew_fit_square(params, 5, xs, ys)
+
+
+@pytest.mark.parametrize("loss", ["square", "pinball"])
+def test_wrapper_bank_rows_match_saew_step_at_every_step(loss):
+    # One stream per row, as seeds are run: every exposed per-row value
+    # equals what saew_step leaves behind, bit for bit, at every step.
+    d, T = 4, 120
+    if loss == "square":
+        envs = [make_square_env(d=d, d0=2, noise_sd=0.2, seed=s)
+                for s in (1, 2, 3)]
+        grad = square_grad
+    else:
+        envs = [make_quantile_env(d=d - 1, d0=1, alpha_q=0.8, noise_sd=0.2,
+                                  seed=s) for s in (1, 2, 3)]
+
+        def grad(theta, x, y):
+            return pinball_subgrad(theta, x, y, 0.8)
+    draws = [env.draw(T) for env in envs]
+    params = [ProblemParams(d0=2, alpha=alpha, U=1.0, B=2.0, delta=0.05)
+              for alpha in (30.0, 1e4, 0.5)]
+    bank = WrapperBank(params, d, T, ["a", "b", "c"])
+    states = [saew_init(p, d) for p in params]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for t in range(T):
+            x = np.array([xs[t] for xs, _ in draws])
+            y = np.array([ys[t] for _, ys in draws])
+            theta_hat = bank.prediction.copy()
+            bank.step(t + 1, grad(theta_hat, x, y))
+            for r, state in enumerate(states):
+                assert (theta_hat[r].tobytes()
+                        == state.optimizer.predict().tobytes())
+                saew_step(state, lambda theta: grad(theta, x[r], y[r]))
+                assert (bank.theta_tilde[r].tobytes()
+                        == state.theta_tilde.tobytes()), (t, r)
+                assert (bank.eps[r], bank.session[r], bank.err[r],
+                        bank.a_prime[r], bank.b_prime[r]) == (
+                    state.eps_t, state.session, state.err_t,
+                    state.a_prime_t, state.b_prime_t), (t, r)
+    assert len({s.session for s in states}) == 3
+
+
+def test_wrapper_bank_warns_per_degenerate_row():
+    params = [ProblemParams(d0=d0, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+              for d0 in (0, 1, 0)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WrapperBank(params, 2, 5, ["a", "b", "c"])
+    assert [w.category for w in caught] == [UserWarning] * 2
+    assert all("d0=0" in str(w.message) for w in caught)
+
+
+def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
+    # With d0 = 0 every step closes a session, so past about 2,150 steps
+    # U * 2**(-i/2) is subnormal and then 0: the learning rate overflows
+    # and the ball degenerates to its center, in both paths alike and
+    # without a floating-point warning.
+    env = make_square_env(d=2, d0=1, noise_sd=0.2, seed=3)
+    xs, ys = env.draw(2300)
+    params = ProblemParams(d0=0, alpha=30.0, U=1.0, B=100.0, delta=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        bank = WrapperBank([params], 2, len(xs), ["a"])
+        state = saew_init(params, 2)
+    for t, (x, y) in enumerate(zip(xs, ys), 1):
+        theta_hat = bank.prediction.copy()
+        assert theta_hat[0].tobytes() == state.optimizer.predict().tobytes()
+        bank.step(t, square_grad(theta_hat, x, y))
+        saew_step(state, lambda theta: square_grad(theta, x, y))
+    assert state.optimizer.ball.radius == 0.0 and state.session == 2300
+    assert bank.session[0] == state.session
+    assert bank.theta_tilde[0].tobytes() == state.theta_tilde.tobytes()

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,12 @@ from saew.harness import (
     summarize,
     write_summary,
 )
-from saew.losses import pinball_subgrad, square_grad, true_excess_risk
+from saew.losses import (
+    gaussian_pinball_risk,
+    pinball_subgrad,
+    square_grad,
+    true_excess_risk,
+)
 from saew.subroutine import eg_init
 
 pytestmark = pytest.mark.filterwarnings(
@@ -173,18 +179,31 @@ def test_one_csv_per_seed_plus_summaries(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    cfg1 = _config(tmp_path, T=25, seeds=(1, 2, 3),
-                   outdir=str(tmp_path / "serial"))
-    cfg2 = dataclasses.replace(cfg1, outdir=str(tmp_path / "parallel"))
-    run_experiment(cfg1, workers=1)
-    run_experiment(cfg2, workers=2)
-    for seed in (1, 2, 3):
-        a = (Path(cfg1.outdir) / f"run_seed{seed}.csv").read_bytes()
-        b = (Path(cfg2.outdir) / f"run_seed{seed}.csv").read_bytes()
-        assert a == b
-    a = (Path(cfg1.outdir) / "summary.csv").read_bytes()
-    b = (Path(cfg2.outdir) / "summary.csv").read_bytes()
-    assert a == b
+    # Five seeds: two workers take slices of 3 and 2, three of 2, 2 and 1.
+    for algorithm in ("saew", "eg", "rda"):
+        cfg = _config(tmp_path, T=25, seeds=(1, 2, 3, 4, 5),
+                      algorithm=algorithm, rda_gamma=10.0,
+                      outdir=str(tmp_path / algorithm / "serial"))
+        run_experiment(cfg, workers=1)
+        # Run CSVs, summary.csv and finals.csv; the sidecars hash outdir.
+        serial = {p.name: p.read_bytes()
+                  for p in Path(cfg.outdir).glob("*.csv")}
+        assert len(serial) == 5 + 2
+        for workers in (2, 3):
+            parallel = dataclasses.replace(
+                cfg, outdir=str(tmp_path / algorithm / f"workers{workers}"))
+            run_experiment(parallel, workers=workers)
+            for name, data in serial.items():
+                assert (Path(parallel.outdir) / name).read_bytes() == data, (
+                    algorithm, workers, name)
+
+
+def test_workers_take_contiguous_seed_slices():
+    slices = saew.harness._contiguous_slices
+    assert slices((5, 1, 4, 2, 3), 2) == [(5, 1, 4), (2, 3)]
+    assert slices((5, 1, 4, 2, 3), 3) == [(5, 1), (4, 2), (3,)]
+    assert slices((7, 8), 4) == [(7,), (8,)]
+    assert slices((7,), 1) == [(7,)]
 
 
 def test_no_writes_outside_outdir(tmp_path, monkeypatch):
@@ -250,23 +269,34 @@ def _per_step_reference(cfg, seed):
     vectors a memo of the last two distinct scored vectors scores and the
     per-step theta_tilde.
 
-    Square runs use ``||theta - theta_star||^2``; quantile runs the paired
-    Monte-Carlo estimate on the holdout.
+    Square runs use ``||theta - theta_star||^2``, times the design
+    variance on truncated streams; quantile runs the paired Monte-Carlo
+    estimate on the holdout, or with exact risks the Gaussian closed form.
     """
     env = build_environment(cfg, seed)
     xs, ys = env.draw(cfg.T)
     star = env.theta_star_metrics
     if env.loss == "pinball":
-        risk = _paired_risk(env)
-
         def grad(theta, x, y):
             return pinball_subgrad(theta, x, y, cfg.alpha_q)
     else:
+        grad = square_grad
+    if cfg.mc_risk:
+        risk = _paired_risk(env)
+    elif env.loss == "pinball":
+        min_risk = gaussian_pinball_risk(-star[0], cfg.noise_sd, cfg.alpha_q)
+
+        def risk(theta):
+            dv = star[1:] - theta[1:]
+            tau = math.sqrt(cfg.noise_sd * cfg.noise_sd + float(dv @ dv))
+            return (gaussian_pinball_risk(-float(theta[0]), tau, cfg.alpha_q)
+                    - min_risk), 0.0
+    else:
+        variance = env.config.get("alpha", 1.0)
+
         def risk(theta):
             diff = theta - star
-            return float(diff @ diff), 0.0
-
-        grad = square_grad
+            return variance * float(diff @ diff), 0.0
 
     recent = []
 
@@ -439,6 +469,113 @@ def test_block_scoring_matches_per_step_reference_exact(
                   trace_bounds=algorithm == "saew", rda_gamma=10.0)
     reference, _, _ = _per_step_reference(cfg, 2)
     _assert_same_bytes(run_one_seed(cfg, 2).rows, reference)
+
+
+class _RecordsCaptured(Exception):
+    """Raised by the summarize spy once run_experiment has its records."""
+
+
+def _experiment_records(cfg, monkeypatch):
+    """The run records ``run_experiment(cfg)`` computes, taken where it
+    hands them to ``summarize`` (which needs two steps or more)."""
+    captured = []
+
+    def spy(records):
+        captured.extend(records)
+        raise _RecordsCaptured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(saew.harness, "summarize", spy)
+        with pytest.raises(_RecordsCaptured):
+            run_experiment(cfg)
+    return captured
+
+
+# Seed rows against the single-seed per-step reference: config overrides
+# and seeds.
+SEED_ROW_CASES = {
+    "saew_trace": (dict(trace_bounds=True, alpha=300.0), (1, 2, 3, 4)),
+    # Rows close sessions on different steps, several at once.
+    "saew_cascade": (dict(trace_bounds=True, alpha=1e4), (1, 2, 3, 4, 5)),
+    "saew_d0_0": (dict(saew_d0=0, trace_bounds=True), (2, 3, 4)),
+    "eg": (dict(algorithm="eg"), (1, 2, 3)),
+    "rda": (dict(algorithm="rda", rda_gamma=10.0), (5, 4, 3, 2, 1)),
+    "saew_truncated": (dict(env="truncated_square", trace_bounds=True,
+                            alpha=300.0), (1, 2, 3)),
+    "eg_truncated": (dict(env="truncated_square", algorithm="eg"),
+                     (3, 4, 5, 6)),
+    "saew_quantile": (dict(env="quantile", U=2.0, alpha=300.0), (1, 2, 3)),
+    "rda_quantile": (dict(env="quantile", algorithm="rda", rda_gamma=10.0),
+                     (1, 2, 3, 4)),
+    "saew_quantile_mc": (dict(env="quantile", d=4, mc_risk=True, U=2.0,
+                              trace_bounds=True), (1, 2, 3)),
+    "eg_quantile_mc": (dict(env="quantile", d=4, mc_risk=True, U=2.0,
+                            algorithm="eg"), (4, 5, 6)),
+    "rda_quantile_mc": (dict(env="quantile", d=4, mc_risk=True,
+                             algorithm="rda", rda_gamma=10.0), (7, 8, 9)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:d0=0 is degenerate:UserWarning")
+@pytest.mark.parametrize("T", [1, 8, 9, 30])
+@pytest.mark.parametrize("case", sorted(SEED_ROW_CASES))
+def test_seed_rows_match_per_step_reference(tmp_path, monkeypatch, case, T):
+    # Blocks of 8 steps: one step, exactly one block, one step past it,
+    # and several blocks with a partial last one.
+    monkeypatch.setattr(saew.harness, "_BLOCK", 8)
+    overrides, seeds = SEED_ROW_CASES[case]
+    cfg = _config(tmp_path, T=T, seeds=seeds, **overrides)
+    records = _experiment_records(cfg, monkeypatch)
+    assert [r.seed for r in records] == list(seeds)
+    for record in records:
+        reference, _, _ = _per_step_reference(cfg, record.seed)
+        _assert_same_bytes(record.rows, reference)
+
+
+def test_warnings_fire_once_per_seed_and_session(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, d=20, d0=3, noise_sd=0.2, alpha=30.0, B=0.5,
+                  T=600, seeds=(1, 2, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = _experiment_records(cfg, monkeypatch)
+        over_b = list(caught)
+        eg_cfg = dataclasses.replace(cfg, algorithm="eg")
+        _experiment_records(eg_cfg, monkeypatch)
+        eg_over_b = caught[len(over_b):]
+        d0_cfg = dataclasses.replace(cfg, saew_d0=0, B=100.0)
+        _experiment_records(d0_cfg, monkeypatch)
+        degenerate = caught[len(over_b) + len(eg_over_b):]
+        state = run_calibration(build_environment(cfg, 1).draw, T=64, d=20,
+                                Y=2.0, delta=0.05, exponent_clamp=(-1, 1))
+        calibration = caught[len(over_b) + len(eg_over_b)
+                             + len(degenerate):]
+    sessions = sum(int(r.column("session")[-1]) + 1 for r in records)
+    assert sessions > len(records)
+    for warned, at_most in ((over_b, sessions), (eg_over_b, 3)):
+        assert 1 <= len(warned) <= at_most
+        assert {(w.category, str(w.message)) for w in warned} == {
+            (RuntimeWarning, "observed gradient sup-norm exceeds the "
+                             "declared bound B; continuing with the running "
+                             "max")}
+    assert len(degenerate) == len(cfg.seeds)
+    assert all(w.category is UserWarning and "d0=0" in str(w.message)
+               for w in degenerate)
+    assert state.session_rows and calibration == []
+
+
+@pytest.mark.parametrize("seeds", [(1,), (4, 1, 3)])
+def test_nonfinite_gradient_names_seed_and_step(tmp_path, seeds):
+    # The default rda_gamma diverges at d=200; seed 1's gradient overflows
+    # first, at step 3124.  The risks of the diverging iterate overflow
+    # before that, which numpy would report.
+    cfg = ExperimentConfig(env="square", d=200, d0=5, noise_sd=0.1,
+                           algorithm="rda", rda_gamma=1.0, T=10000,
+                           seeds=seeds, outdir=str(tmp_path / "out"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^seed 1: the gradient at step "
+                                             r"3124 is not finite$"):
+            run_experiment(cfg)
+    assert list(Path(cfg.outdir).iterdir()) == []
 
 
 def test_trace_columns_consistent_with_epsilon(tmp_path):

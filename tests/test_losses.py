@@ -523,3 +523,50 @@ def test_true_excess_risk_shape_check():
 def test_risk_estimate_float_conversion():
     est = RiskEstimate(value=0.25, se=0.01)
     assert float(est) == 0.25
+
+
+# ============================================================
+# Blockwise covariate streams and stacked gradients
+# ============================================================
+
+_STREAMS = {
+    "square": lambda d: make_square_env(d=d, d0=1, noise_sd=0.1, seed=d),
+    "truncated": lambda d: make_truncated_square_env(d=d, d0=1,
+                                                     noise_sd=0.1, seed=d),
+    "quantile": lambda d: make_quantile_env(d=d, d0=1, alpha_q=0.8,
+                                            noise_sd=0.1, seed=d),
+}
+
+
+@pytest.mark.parametrize("d", [1, 20, 200, 2000])
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+def test_covariate_blocks_concatenate_to_the_full_draw(stream, d):
+    env = _STREAMS[stream](d)
+    for T in (1, 9, 256, 257, 1000):
+        x = env.draw(T)[0]
+        for block in (8, 256):
+            parts = list(env.covariate_blocks(T, block))
+            assert [len(p) for p in parts[:-1]] == [block] * (len(parts) - 1)
+            assert 1 <= len(parts[-1]) <= block
+            joined = np.concatenate(parts)
+            assert joined.shape == x.shape
+            assert joined.tobytes() == x.tobytes(), (T, block)
+
+
+@pytest.mark.parametrize("d", [1, 7, 200])
+def test_stacked_gradients_have_the_bits_of_single_calls(d):
+    rng = np.random.default_rng(d)
+    thetas = rng.normal(size=(6, d))
+    xs = rng.normal(size=(6, d))
+    ys = rng.normal(size=6)
+    ys[2] = float(xs[2] @ thetas[2])  # a pinball kink
+    for grad in (square_grad, lambda t, x, y: pinball_subgrad(t, x, y, 0.3)):
+        rows = grad(thetas, xs, ys)
+        shared = grad(thetas, xs[0], ys)
+        for i in range(6):
+            assert rows[i].tobytes() == grad(thetas[i], xs[i],
+                                             float(ys[i])).tobytes()
+            assert shared[i].tobytes() == grad(thetas[i], xs[0],
+                                               float(ys[i])).tobytes()
+    with pytest.raises(ValueError, match="dimension"):
+        square_grad(thetas, xs[:, :-1] if d > 1 else np.ones((6, 2)), ys)

@@ -8,6 +8,8 @@ import pytest
 
 from saew.core import L1Ball, ball_contains
 from saew.subroutine import (
+    OVER_B_WARNING,
+    EGBank,
     EGState,
     RegretCertificate,
     eg_certificate,
@@ -229,6 +231,26 @@ def test_update_takes_a_gradient_whose_square_underflows():
     assert np.all(np.isfinite(state.predict()))
 
 
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_update_of_the_smallest_subnormal_predicts_in_the_ball(radius):
+    # 1 / (radius * 5e-324) overflows (radius 1) or divides by zero
+    # (radius 0.5, where the product rounds to 0): the learning rate is
+    # +inf, and the weights are its limit, all on the corner -e_1.
+    state = eg_init(_ball(d=2, radius=radius), B=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state.update(np.array([5e-324, 0.0]))
+        np.testing.assert_array_equal(state._log_weights(),
+                                      [-np.inf, -np.inf, 0.0, -np.inf])
+        np.testing.assert_array_equal(state.predict(), [-radius, 0.0])
+    assert ball_contains(state.ball, state.predict())
+    # A gradient sum of ties shares the weight between the tied corners.
+    state = eg_init(_ball(d=3, radius=radius), B=1.0)
+    state.update(np.array([5e-324, 0.0, -5e-324]))
+    np.testing.assert_array_equal(state.predict(),
+                                  [-radius / 2, 0.0, radius / 2])
+
+
 def test_update_rejects_overflowing_gradient_unchanged():
     state = eg_init(_ball(d=2), B=1.0)
     state.update(np.array([0.5, -0.25]))
@@ -348,3 +370,87 @@ def test_regret_scale_invariance():
         regret, v2 = _corner_regret(ball, B, grads)
         bound = c * (cert.a * math.sqrt(v2) + cert.b * B)
         assert regret <= bound + 1e-9
+
+
+# ============================================================
+# EGBank
+# ============================================================
+
+def _bank_gradients(rng, n, d, steps):
+    """Gradient rows with zero rows, subnormal sup-norms, squares that
+    underflow and values above B."""
+    for step in range(steps):
+        g = rng.uniform(-2.0, 2.0, size=(n, d))
+        g[step % n] = 0.0 if step % 3 == 0 else g[step % n]
+        if step == 4:
+            g[1] = [5e-324] + [0.0] * (d - 1)
+        if step == 5:
+            g[2] *= 1e-170
+        yield g
+
+
+def test_bank_rows_match_eg_states_bit_for_bit():
+    rng = np.random.default_rng(5)
+    d = 3
+    radii = [0.7, 1.0, 0.5, 0.0, 2.0]
+    centers = rng.normal(size=(len(radii), d))
+    bank = EGBank(centers, radii, [1.5] * len(radii),
+                  [f"row {r}" for r in range(len(radii))])
+    states = [eg_init(_ball(d=d, radius=r, center=c), B=1.5)
+              for r, c in zip(radii, centers)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for step, g in enumerate(_bank_gradients(rng, len(radii), d, 40), 1):
+            if step == 20:
+                # A fresh forecaster in another ball, as a session close.
+                bank.reset(2, np.array([0.1, 0.0, -0.2]), 0.25)
+                states[2] = eg_init(_ball(d=d, radius=0.25,
+                                          center=[0.1, 0.0, -0.2]), B=1.5)
+            bank.update(g, step)
+            for r, state in enumerate(states):
+                state.update(g[r])
+                assert (bank.prediction[r].tobytes()
+                        == state.predict().tobytes()), (step, r)
+                assert (bank.v2[r], bank.b_hat[r]) == (state.v2, state.b_hat)
+                assert bank.grad_sum[r].tobytes() == state.grad_sum.tobytes()
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_bank_takes_the_smallest_subnormal_like_eg_state(radius):
+    bank = EGBank(np.zeros((2, 2)), [radius, 1.0], [1.0, 1.0], ["a", "b"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bank.update(np.array([[5e-324, 0.0], [0.5, -0.25]]), 1)
+    state = eg_init(_ball(d=2, radius=radius), B=1.0)
+    state.update(np.array([5e-324, 0.0]))
+    np.testing.assert_array_equal(bank.prediction[0], [-radius, 0.0])
+    assert bank.prediction[0].tobytes() == state.predict().tobytes()
+
+
+def test_bank_warns_at_most_once_per_update_and_forecaster():
+    bank = EGBank(np.zeros((3, 2)), [1.0] * 3, [1.0, 1.0, 5.0], ["a", "b", "c"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bank.update(np.array([[2.0, 0.0], [0.0, 3.0], [2.0, 0.0]]), 1)
+        bank.update(np.array([[4.0, 0.0], [0.0, 0.5], [4.0, 0.0]]), 2)
+        assert [str(w.message) for w in caught] == [OVER_B_WARNING]
+        bank.reset(0, np.zeros(2), 1.0)
+        bank.update(np.array([[0.0, 1.5], [0.5, 0.0], [6.0, 0.0]]), 3)
+    assert [w.category for w in caught] == [RuntimeWarning] * 2
+
+
+def test_bank_rejects_bad_gradients_naming_row_and_step():
+    bank = EGBank(np.zeros((2, 2)), [1.0, 1.0], [1.0, 1.0],
+                  ["seed 7", "seed 9"])
+    bank.update(np.array([[0.5, 0.0], [0.0, 0.5]]), 1)
+    before = (bank.v2.copy(), bank.b_hat.copy(), bank.grad_sum.copy(),
+              bank.prediction.copy())
+    for g, label in (([[0.5, 0.0], [np.nan, 0.0]], "seed 9"),
+                     ([[np.inf, 0.0], [0.5, 0.0]], "seed 7"),
+                     ([[0.1, 0.0], [0.0, -1.5e154]], "seed 9")):
+        with pytest.raises(ValueError, match=f"^{label}: .* step 2 "):
+            with np.errstate(over="ignore"):
+                bank.update(np.array(g), 2)
+    for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
+                          bank.prediction), before):
+        np.testing.assert_array_equal(got, want)
