@@ -31,6 +31,9 @@ BASE_COLUMNS = ("t", "l2_error", "risk_hat", "risk_tilde", "cum_risk",
 
 # Columns written as integers by write_table.
 _INT_COLUMNS = frozenset({"t", "session", "seed"})
+# Rows write_table formats with one % operation: memory stays bounded at
+# any length of table.
+_SLAB_ROWS = 1024
 
 
 # ============================================================
@@ -250,10 +253,21 @@ def write_table(path: str | Path, columns: Sequence[str],
     ``seed`` columns are written as integers and every other value with
     ``%.12g`` and a plain decimal point; every line ends in a newline.
     Every numeric CSV the harness writes goes through here.
+
+    Raises:
+        ValueError: if ``data`` is not a table of ``len(columns)`` columns.
     """
-    fmt = ["%d" if c in _INT_COLUMNS else "%.12g" for c in columns]
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(columns),
-               comments="")
+    data = np.asarray(data)
+    if data.ndim != 2 or data.shape[1] != len(columns):
+        raise ValueError(f"{len(columns)} columns for a table of shape "
+                         f"{data.shape}")
+    line = ",".join("%d" if c in _INT_COLUMNS else "%.12g"
+                    for c in columns) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(data), _SLAB_ROWS):
+            slab = data[start:start + _SLAB_ROWS]
+            fh.write(line * len(slab) % tuple(slab.ravel().tolist()))
 
 
 # ============================================================

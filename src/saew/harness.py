@@ -588,7 +588,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
 
     Raises:
         ConfigError: invalid configuration.
-        ValueError: a non-finite gradient (nothing is written).
+        ValueError: a non-finite gradient, or a run too short to summarize
+            (``T = 1``); nothing is written.
         OSError: unwritable output directory.
     """
     config.validate()
@@ -606,13 +607,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     else:
         records = _run_seeds(config, config.seeds)
 
+    # Summarized before any file is written: a run it rejects (T = 1)
+    # leaves no partial output.
+    summary = summarize(records)
     paths = []
     for record in records:
         path = outdir / _seed_csv_name(record.seed)
         record.to_csv(path)
         paths.append(path)
     config.to_ini(outdir / "config.ini")
-    summary = summarize(records)
     paths.extend(write_summary(summary, outdir))
     return paths
 
@@ -696,7 +699,8 @@ def loglog_slope(t: np.ndarray, values: np.ndarray,
         t_min = float(t[-1]) / 2.0
     mask = t >= t_min
     if int(mask.sum()) < 2:
-        raise ValueError("need at least two points to fit a slope")
+        raise ValueError(f"T={t[-1]:g}: need at least two points to fit a "
+                         f"slope, {int(mask.sum())} at t >= {t_min:g}")
     log_t = np.log(t[mask])
     log_v = np.log(np.maximum(values[mask], _TINY))
     slope, _ = np.polyfit(log_t, log_v, 1)

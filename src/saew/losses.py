@@ -32,12 +32,14 @@ _HOLDOUT_CACHE: OrderedDict[
     tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
 _HOLDOUT_CACHE_MAX = 4
 _HOLDOUT_SIZE = 10 ** 5
-# Holdout rows per pass of the Monte-Carlo oracle.  A power of two, so
-# every chunk starts on a row block of the BLAS gemv kernel and its product
-# equals the full product's rows bit for bit; a chunk's buffers stay in L2.
+# Holdout rows per pass of the Monte-Carlo oracle; a chunk's buffers stay
+# in L2.
 _HOLDOUT_CHUNK = 8192
-# Parameter vectors scored per pass over the holdout: each chunk of the
-# holdout is read once for all of them.
+# Parameter vectors scored per pass over the holdout: one matrix-matrix
+# product per chunk gives all of their products.  An entry of such a
+# product has the same bits whatever other rows and columns share it, for
+# groups of up to 11 rows (OpenBLAS's SkylakeX kernel rounds the last
+# columns of some 12-row products differently).
 _THETA_GROUP = 8
 
 
@@ -393,7 +395,11 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
     noise = float(cfg["noise_sd"]) * rng_e.standard_normal(n)
     y = x @ env.theta_star_metrics[1:] + noise
     x = np.hstack([np.ones((n, 1)), x])
-    u_star = y - x @ env.theta_star_metrics
+    # theta_star's products round as every scored vector's do (see
+    # true_excess_risk), so theta_star itself scores exactly 0.
+    product = np.empty((1, n))
+    _gemm(env.theta_star_metrics[None], x, out=product)
+    u_star = y - product[0]
     loss_star = u_star * (alpha_q - (u_star < 0.0))
     entry = (x, y, loss_star)
     for array in entry:
@@ -402,6 +408,23 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
     while len(_HOLDOUT_CACHE) > _HOLDOUT_CACHE_MAX:
         _HOLDOUT_CACHE.popitem(last=False)
     return entry
+
+
+def _gemm(group: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the products ``group @ x.T`` into ``out`` by a matrix-matrix
+    product.
+
+    numpy computes a product with a single row on either side as a
+    matrix-vector product (or a dot), which rounds differently; such a
+    side is doubled and the copy's products dropped, so every entry has a
+    gemm's bits.
+    """
+    if len(group) > 1 and len(x) > 1:
+        np.matmul(group, x.T, out=out)
+    else:
+        def two_rows(a: np.ndarray) -> np.ndarray:
+            return a if len(a) > 1 else np.concatenate((a, a))
+        out[:] = (two_rows(group) @ two_rows(x).T)[:len(group), :len(x)]
 
 
 def true_excess_risk(theta: DenseVector, env: Environment,
@@ -417,9 +440,11 @@ def true_excess_risk(theta: DenseVector, env: Environment,
     :class:`RiskEstimate` — a paired Monte-Carlo estimate over a fixed
     seeded holdout of 10^5 samples, with its standard error.  The
     holdout's ``theta_star`` losses are computed once (see :func:`_holdout`),
-    and one pass over the holdout scores a group of rows.  ``se_rows``, a
-    boolean mask over the rows, names the rows whose standard error is
-    wanted (default: all); the others get NaN.
+    and one pass over the holdout scores a group of rows, each chunk's
+    products by one matrix-matrix product.  A row's value and standard
+    error depend on the row alone, not on the stack it comes in.
+    ``se_rows``, a boolean mask over the rows, names the rows whose
+    standard error is wanted (default: all); the others get NaN.
     """
     thetas = np.asarray(theta, float)
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != env.dimension:
@@ -439,26 +464,27 @@ def true_excess_risk(theta: DenseVector, env: Environment,
     # and standard error sum a row in one pairwise pass, as for one vector.
     diffs = np.empty((min(k, _THETA_GROUP), n))
     chunk = min(n, _HOLDOUT_CHUNK)
-    u, factor = np.empty(chunk), np.empty(chunk)
-    negative = np.empty(chunk, bool)
+    factor = np.empty(diffs.shape[0] * chunk)
+    negative = np.empty(factor.shape, bool)
     for g0 in range(0, k, _THETA_GROUP):
         group = stack[g0:g0 + _THETA_GROUP]
         for c0 in range(0, n, chunk):
             c1 = min(n, c0 + chunk)
-            x_c, y_c, star_c = x[c0:c1], y[c0:c1], loss_star[c0:c1]
-            u_c, neg_c, f_c = u[:c1 - c0], negative[:c1 - c0], factor[:c1 - c0]
-            for row, theta_r in zip(diffs, group):
-                # The pinball loss u * (alpha_q - [u < 0]) at u = y - x.theta.
-                np.matmul(x_c, theta_r, out=u_c)
-                np.subtract(y_c, u_c, out=u_c)
-                np.less(u_c, 0.0, out=neg_c)
-                np.subtract(alpha_q, neg_c, out=f_c)
-                np.multiply(u_c, f_c, out=u_c)
-                np.subtract(u_c, star_c, out=row[c0:c1])
+            # The pinball loss u * (alpha_q - [u < 0]) at u = y - x.theta,
+            # for every row of the group at once.
+            u = diffs[:len(group), c0:c1]
+            f = factor[:u.size].reshape(u.shape)
+            neg = negative[:u.size].reshape(u.shape)
+            _gemm(group, x[c0:c1], out=u)
+            np.subtract(y[c0:c1], u, out=u)
+            np.less(u, 0.0, out=neg)
+            np.subtract(alpha_q, neg, out=f)
+            np.multiply(u, f, out=u)
+            np.subtract(u, loss_star[c0:c1], out=u)
         for r, diff in enumerate(diffs[:len(group)], start=g0):
-            values[r] = diff.mean()
+            values[r] = mean = diff.mean()
             if want_se[r]:
-                ses[r] = diff.std(ddof=1) / math.sqrt(n)
+                ses[r] = diff.std(ddof=1, mean=mean) / math.sqrt(n)
     if thetas.ndim == 1:
         return RiskEstimate(value=float(values[0]), se=float(ses[0]))
     return RiskEstimate(value=values, se=ses)

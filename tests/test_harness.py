@@ -254,10 +254,13 @@ def _paired_risk(env):
     def pinball(u):
         return u * (alpha_q - (u < 0.0))
 
-    loss_star = pinball(y - x @ env.theta_star_metrics)
+    def product(theta):
+        return (np.stack((theta, theta)) @ x.T)[0]
+
+    loss_star = pinball(y - product(env.theta_star_metrics))
 
     def risk(theta):
-        diff = pinball(y - x @ theta) - loss_star
+        diff = pinball(y - product(theta)) - loss_star
         return (float(diff.mean()),
                 float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
     return risk
@@ -575,6 +578,14 @@ def test_nonfinite_gradient_names_seed_and_step(tmp_path, seeds):
         with pytest.raises(ValueError, match=r"^seed 1: the gradient at step "
                                              r"3124 is not finite$"):
             run_experiment(cfg)
+    assert list(Path(cfg.outdir).iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_too_short_to_summarize_writes_nothing(tmp_path, workers):
+    cfg = _config(tmp_path, T=1, seeds=(1, 2))
+    with pytest.raises(ValueError, match=r"^T=1: need at least two points"):
+        run_experiment(cfg, workers=workers)
     assert list(Path(cfg.outdir).iterdir()) == []
 
 

@@ -403,7 +403,11 @@ def _paired_from_scratch(x, y, env, theta, alpha_q):
     def pinball(u):
         return u * (alpha_q - (u < 0.0))
 
-    diff = pinball(y - x @ theta) - pinball(y - x @ env.theta_star_metrics)
+    def product(theta):
+        return (np.stack((theta, theta)) @ x.T)[0]
+
+    diff = (pinball(y - product(theta))
+            - pinball(y - product(env.theta_star_metrics)))
     return (float(diff.mean()),
             float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
 
@@ -417,53 +421,70 @@ def test_true_excess_risk_equals_paired_computation_from_scratch():
         est = true_excess_risk(theta, env)
         assert (est.value, est.se) == _paired_from_scratch(x, y, env, theta,
                                                            0.7)
+    assert true_excess_risk(env.theta_star_metrics, env) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8192, 5])
 def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
         monkeypatch, n):
-    # More rows than one pass over the holdout takes, and holdouts that are
-    # not a whole number of chunks (10007), exactly one chunk, or shorter.
+    # More rows than one pass over the holdout takes, the last pass taking
+    # 3 rows or one; holdouts that are not a whole number of chunks
+    # (10007), exactly one chunk, or shorter.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
     holdout = saew.losses._holdout
     monkeypatch.setattr(saew.losses, "_holdout",
                         lambda env: holdout(env, n))
     x, y, _ = holdout(env, n)
-    k = 2 * saew.losses._THETA_GROUP + 3
-    rng = np.random.default_rng(8)
-    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((k, 21))
-    stack[4] = 0.0
-    stack[5] = stack[2]
-    want_se = rng.random(k) < 0.5
-    est = true_excess_risk(stack, env, se_rows=want_se)
-    assert est.value.shape == est.se.shape == (k,)
-    for r, theta in enumerate(stack):
-        value, se = _paired_from_scratch(x, y, env, theta, 0.3)
-        assert est.value[r] == value
-        if want_se[r]:
-            assert est.se[r] == se
-        else:
-            assert math.isnan(est.se[r])
-    full = true_excess_risk(stack, env)
-    np.testing.assert_array_equal(full.value, est.value)
-    np.testing.assert_array_equal(full.se[want_se], est.se[want_se])
-    single = true_excess_risk(stack[3], env)
-    assert (single.value, single.se) == (full.value[3], full.se[3])
+    for extra in (3, 1):
+        k = 2 * saew.losses._THETA_GROUP + extra
+        rng = np.random.default_rng(8)
+        stack = env.theta_star_metrics + 0.3 * rng.standard_normal((k, 21))
+        stack[4] = 0.0
+        stack[5] = stack[2]
+        want_se = rng.random(k) < 0.5
+        est = true_excess_risk(stack, env, se_rows=want_se)
+        assert est.value.shape == est.se.shape == (k,)
+        for r, theta in enumerate(stack):
+            value, se = _paired_from_scratch(x, y, env, theta, 0.3)
+            assert est.value[r] == value
+            if want_se[r]:
+                assert est.se[r] == se
+            else:
+                assert math.isnan(est.se[r])
+        full = true_excess_risk(stack, env)
+        np.testing.assert_array_equal(full.value, est.value)
+        np.testing.assert_array_equal(full.se[want_se], est.se[want_se])
+        # A row's bits do not depend on the stack it comes in.
+        for r in (3, k - 1):
+            single = true_excess_risk(stack[r], env)
+            assert (single.value, single.se) == (full.value[r], full.se[r])
+            pair = true_excess_risk(stack[[r, 0]], env)
+            assert (pair.value[0], pair.se[0]) == (full.value[r],
+                                                   full.se[r])
 
 
-@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007])
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193])
 def test_holdout_chunk_products_equal_the_full_product(n):
-    # The oracle's premise: a chunk's matrix-vector product has the bits
-    # of the full product's rows (a chunk size off the BLAS kernel's row
-    # blocks, such as 1001, moves some rows by an ulp).
+    # The oracle's premise: a row of a group's matrix-matrix product has
+    # the bits of that row's product with the whole holdout as a two-row
+    # stack, whatever the group's other rows, its size (up to the oracle's
+    # group size) and where the chunks end.  A one-row group or chunk
+    # (n = 8193) is doubled, as the oracle does.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
     x, _, _ = _holdout(env, n)
-    chunk = saew.losses._HOLDOUT_CHUNK
     rng = np.random.default_rng(8)
-    for theta in env.theta_star_metrics + 0.3 * rng.standard_normal((8, 21)):
-        chunked = np.concatenate([x[c0:c0 + chunk] @ theta
-                                  for c0 in range(0, n, chunk)])
-        assert chunked.tobytes() == (x @ theta).tobytes()
+    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((16, 21))
+    full = [(np.stack((theta, theta)) @ x.T)[0].tobytes() for theta in stack]
+    for size in range(1, saew.losses._THETA_GROUP + 1):
+        for g0 in (0, len(stack) - size):
+            group = stack[g0:g0 + size]
+            for chunk in (1001, saew.losses._HOLDOUT_CHUNK, n):
+                products = np.empty((size, n))
+                for c0 in range(0, n, chunk):
+                    saew.losses._gemm(group, x[c0:c0 + chunk],
+                                      out=products[:, c0:c0 + chunk])
+                for r, row in enumerate(products, start=g0):
+                    assert row.tobytes() == full[r]
 
 
 def test_exact_risk_of_a_stack_equals_the_formula_per_row():
