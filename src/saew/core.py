@@ -127,16 +127,11 @@ class Environment:
         theta_star_metrics: risk minimizer, for metrics only.
         draw: ``draw(n)`` returns the first ``n`` stream samples as
             ``(X, y)`` with ``X`` of shape ``(n, dimension)``; deterministic,
-            so repeated calls give the same arrays.  Only ``X`` is an exact
-            prefix across ``n``: ``y`` comes from one matrix-vector product
-            over all ``n`` rows, which rounds by its length, so its last
-            rows can differ in the last bit (e.g. row 997 of
-            ``make_square_env(10, 3, 0.1, 1)``'s ``draw(999)`` against
-            ``draw(10000)[:999]``).
-        covariate_blocks: ``covariate_blocks(n, block)`` yields the ``X``
-            of ``draw(n)`` in consecutive blocks of at most ``block`` rows,
-            bit for bit, drawing one block at a time; ``None`` for a
-            stream without that form.
+            and a prefix of every longer draw, bit for bit.
+        blocks: ``blocks(n, block)`` yields ``draw(n)`` in consecutive
+            ``(X, y)`` blocks of at most ``block`` rows, bit for bit,
+            drawing one block at a time; ``None`` for a stream without
+            that form.
         excess_risk_exact: closed-form instantaneous excess risk of a
             parameter vector (a float), or of each row of a ``(k, d)``
             stack (an array); ``None`` if no closed form is available.
@@ -148,7 +143,8 @@ class Environment:
     config: Mapping[str, Any]
     theta_star_metrics: np.ndarray
     draw: Callable[[int], tuple[np.ndarray, np.ndarray]] = dataclasses.field(repr=False)
-    covariate_blocks: Callable[[int, int], Iterator[np.ndarray]] | None = (
+    blocks: Callable[[int, int],
+                     Iterator[tuple[np.ndarray, np.ndarray]]] | None = (
         dataclasses.field(default=None, repr=False))
     excess_risk_exact: Callable[[np.ndarray], float | np.ndarray] | None = dataclasses.field(
         default=None, repr=False)

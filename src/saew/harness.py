@@ -415,7 +415,7 @@ class _BlockScorer:
 # Runs
 # ============================================================
 
-# Steps between scorings, and covariate rows drawn at a time.
+# Steps between scorings, and stream rows drawn at a time.
 _BLOCK = 256
 
 
@@ -436,7 +436,7 @@ def _run_seeds(config: ExperimentConfig,
     The seeds' learners are the rows of one state, and one per-step loop
     steps them all.  Rows share no data, so each record has the bits of a
     run of its seed alone.  The loop only records the estimates; a block
-    of steps at a time, the covariates are drawn and the estimates scored.
+    of steps at a time, the samples are drawn and the estimates scored.
 
     Raises:
         ValueError: a non-finite gradient (the message names the seed and
@@ -444,12 +444,7 @@ def _run_seeds(config: ExperimentConfig,
     """
     envs = [build_environment(config, seed) for seed in seeds]
     T, d = config.T, envs[0].dimension
-    # Each response vector is one matrix-vector product over all T rows,
-    # which per-block products would not always match to the bit; the
-    # covariates of that draw are dropped at once and drawn again a block
-    # at a time.
-    ys = np.array([env.draw(T)[1] for env in envs])
-    blocks = zip(*(env.covariate_blocks(T, _BLOCK) for env in envs))
+    blocks = zip(*(env.blocks(T, _BLOCK) for env in envs))
     grad = _gradient_fn(envs[0])
     step = _learner(config, seeds, d)
     scorers = [_BlockScorer(env, config.mc_risk) for env in envs]
@@ -470,11 +465,11 @@ def _run_seeds(config: ExperimentConfig,
     rows[:, :, 0] = np.arange(1.0, T + 1.0)
     thetas = np.empty((len(seeds), min(T, _BLOCK), 2, d))
     start = 0
-    for x_parts in blocks:
-        # (steps, seeds, d): each step's covariates are contiguous rows.
-        xs = np.stack(x_parts, axis=1)
-        ys_block = ys[:, start:start + len(xs)].T
-        for j, (x, y) in enumerate(zip(xs, ys_block)):
+    for parts in blocks:
+        # (steps, seeds, d) and (steps, seeds): each step's samples are
+        # contiguous rows.
+        xs, ys = (np.stack(arrays, axis=1) for arrays in zip(*parts))
+        for j, (x, y) in enumerate(zip(xs, ys)):
             theta_hat, theta_tilde, extra = step(
                 start + j + 1, lambda theta: grad(theta, x, y))
             thetas[:, j, 0] = theta_hat

@@ -170,17 +170,34 @@ def _one_or_many(risks: Callable[[np.ndarray], np.ndarray]
     return risk
 
 
-def _blockwise(seed: int, design: Callable[[np.random.Generator, int],
-                                            np.ndarray]
-               ) -> Callable[[int, int], Iterator[np.ndarray]]:
-    """A stream's ``covariate_blocks``: ``design(rng, n)`` draws the next
-    ``n`` covariate rows from the design generator, which fills its output
-    in order, so consecutive blocks are the rows of one full draw."""
-    def covariate_blocks(n: int, block: int) -> Iterator[np.ndarray]:
-        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+def _stream(seed: int, sample: Callable[
+        [np.random.Generator, np.random.Generator, int],
+        tuple[np.ndarray, np.ndarray]]) -> dict[str, Callable]:
+    """A stream's ``draw`` and ``blocks``, both read from one ``sample``.
+
+    ``sample(rng_x, rng_e, n)`` takes the next ``n`` rows' covariates from
+    ``rng_x`` and their noise from ``rng_e``, and computes each response
+    from its own row alone (one ddot per row, as the gradients take it).
+    The generators fill their outputs in order, so successive calls on one
+    pair of generators return the rows of one call on a fresh pair, bit for
+    bit: ``draw(n)`` is a prefix of ``draw(m)``, and ``blocks(n, block)``
+    yields ``draw(n)`` in consecutive ``(x, y)`` blocks of at most
+    ``block`` rows.
+    """
+    def generators() -> tuple[np.random.Generator, np.random.Generator]:
+        return (np.random.default_rng(np.random.SeedSequence([seed, 1])),
+                np.random.default_rng(np.random.SeedSequence([seed, 2])))
+
+    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
+        return sample(*generators(), n)
+
+    def blocks(n: int, block: int
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        rng_x, rng_e = generators()
         for start in range(0, n, block):
-            yield design(rng_x, min(block, n - start))
-    return covariate_blocks
+            yield sample(rng_x, rng_e, min(block, n - start))
+
+    return {"draw": draw, "blocks": blocks}
 
 
 def _sparse_unit_l1_parameter(d: int, d0: int,
@@ -220,14 +237,10 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
     theta_star = _sparse_unit_l1_parameter(
         d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
 
-    def design(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, d))
-
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        rng_e = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        x = design(rng_x, n)
-        y = x @ theta_star + noise_sd * rng_e.standard_normal(n)
+    def sample(rng_x: np.random.Generator, rng_e: np.random.Generator,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+        x = rng_x.standard_normal((n, d))
+        y = np.vecdot(x, theta_star) + noise_sd * rng_e.standard_normal(n)
         return x, y
 
     @_one_or_many
@@ -239,9 +252,9 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
     config = {"loss": "square", "d": d, "d0": d0, "noise_sd": noise_sd,
               "alpha_q": None, "seed": seed}
     return Environment(dimension=d, loss="square", seed=seed, config=config,
-                       theta_star_metrics=theta_star, draw=draw,
-                       covariate_blocks=_blockwise(seed, design),
-                       excess_risk_exact=excess_risk_exact)
+                       theta_star_metrics=theta_star,
+                       excess_risk_exact=excess_risk_exact,
+                       **_stream(seed, sample))
 
 
 def truncated_normal_variance(c: float) -> float:
@@ -279,17 +292,12 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
     lo_x = _Phi(-x_bound)
     lo_e = _Phi(-noise_bound_sds)
 
-    def design(rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(rng_x: np.random.Generator, rng_e: np.random.Generator,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
         # Inverse-CDF sampling of the truncated normals.
-        return ndtri(rng.uniform(lo_x, 1.0 - lo_x, size=(n, d)))
-
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        rng_e = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        x = design(rng_x, n)
+        x = ndtri(rng_x.uniform(lo_x, 1.0 - lo_x, size=(n, d)))
         u_e = rng_e.uniform(lo_e, 1.0 - lo_e, size=n)
-        y = x @ theta_star + noise_sd * ndtri(u_e)
-        return x, y
+        return x, np.vecdot(x, theta_star) + noise_sd * ndtri(u_e)
 
     @_one_or_many
     def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
@@ -302,9 +310,9 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
               "y_bound": x_bound + noise_bound_sds * noise_sd,
               "alpha": v}
     return Environment(dimension=d, loss="square", seed=seed, config=config,
-                       theta_star_metrics=theta_star, draw=draw,
-                       covariate_blocks=_blockwise(seed, design),
-                       excess_risk_exact=excess_risk_exact)
+                       theta_star_metrics=theta_star,
+                       excess_risk_exact=excess_risk_exact,
+                       **_stream(seed, sample))
 
 
 def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
@@ -338,15 +346,11 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
     theta_star = np.concatenate(([q0], theta_base))
     min_risk = gaussian_pinball_risk(-q0, noise_sd, alpha_q)
 
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
-        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        rng_e = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    def sample(rng_x: np.random.Generator, rng_e: np.random.Generator,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
         x = rng_x.standard_normal((n, d))
-        y = x @ theta_base + noise_sd * rng_e.standard_normal(n)
+        y = np.vecdot(x, theta_base) + noise_sd * rng_e.standard_normal(n)
         return np.hstack([np.ones((n, 1)), x]), y
-
-    def design(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.hstack([np.ones((n, 1)), rng.standard_normal((n, d))])
 
     @_one_or_many
     def excess_risk_exact(thetas: np.ndarray) -> np.ndarray:
@@ -362,8 +366,8 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
               "alpha_q": alpha_q, "seed": seed}
     return Environment(dimension=d + 1, loss="pinball", seed=seed,
                        config=config, theta_star_metrics=theta_star,
-                       draw=draw, covariate_blocks=_blockwise(seed, design),
-                       excess_risk_exact=excess_risk_exact)
+                       excess_risk_exact=excess_risk_exact,
+                       **_stream(seed, sample))
 
 
 # ============================================================

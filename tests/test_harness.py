@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -587,6 +588,37 @@ def test_run_too_short_to_summarize_writes_nothing(tmp_path, workers):
     with pytest.raises(ValueError, match=r"^T=1: need at least two points"):
         run_experiment(cfg, workers=workers)
     assert list(Path(cfg.outdir).iterdir()) == []
+
+
+def test_run_reads_the_stream_only_in_blocks(tmp_path, monkeypatch):
+    build = saew.harness.build_environment
+
+    def draw(n):
+        raise AssertionError(f"the run called draw({n})")
+
+    monkeypatch.setattr(
+        saew.harness, "build_environment",
+        lambda config, seed: dataclasses.replace(build(config, seed),
+                                                 draw=draw))
+    for env in ("square", "truncated_square", "quantile"):
+        cfg = _config(tmp_path, env=env, T=300, seeds=(1,))
+        assert run_one_seed(cfg, 1).rows.shape[0] == 300
+
+
+def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
+    # A (T, d) design at d=2000 takes 16 kB a row; the record takes 7
+    # columns, 56 B a row.
+    peaks = []
+    for T in (1000, 3000):
+        cfg = _config(tmp_path, d=2000, d0=5, algorithm="rda",
+                      rda_gamma=10.0, T=T, seeds=(1,))
+        tracemalloc.start()
+        try:
+            run_one_seed(cfg, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20, peaks
 
 
 def test_trace_columns_consistent_with_epsilon(tmp_path):

@@ -221,6 +221,17 @@ def test_square_env_draw_prefix_consistent():
     x_big, y_big = env.draw(12)
     np.testing.assert_array_equal(x_big[:5], x_small)
     np.testing.assert_array_equal(y_big[:5], y_small)
+    _assert_draw_999_is_a_prefix(make_square_env(10, 3, 0.1, 1))
+
+
+def _assert_draw_999_is_a_prefix(env):
+    # Each response is computed from its own row alone, so a long draw
+    # keeps a short one's responses to the bit (a matrix-vector product
+    # over all rows would round by the draw's length).
+    x_short, y_short = env.draw(999)
+    x_long, y_long = env.draw(10000)
+    assert x_long[:999].tobytes() == x_short.tobytes()
+    assert y_long[:999].tobytes() == y_short.tobytes()
 
 
 def test_square_env_generating_model():
@@ -280,6 +291,10 @@ def test_truncated_env_bounds_hold_almost_surely():
     assert float(np.max(np.abs(x))) <= 2.0
     assert float(np.max(np.abs(y))) <= env.config["y_bound"] + 1e-12
     assert env.config["y_bound"] == pytest.approx(2.0 + 3.0 * 0.4)
+
+
+def test_truncated_env_draw_prefix_consistent():
+    _assert_draw_999_is_a_prefix(make_truncated_square_env(10, 3, 0.1, 1))
 
 
 def test_truncated_env_design_variance():
@@ -347,6 +362,7 @@ def test_quantile_env_draw_prefix_consistent():
     x_big, y_big = env.draw(9)
     np.testing.assert_array_equal(x_big[:4], x_small)
     np.testing.assert_array_equal(y_big[:4], y_small)
+    _assert_draw_999_is_a_prefix(make_quantile_env(10, 3, 0.8, 0.1, 1))
 
 
 def test_quantile_env_minimizer_has_zero_excess_risk():
@@ -547,7 +563,7 @@ def test_risk_estimate_float_conversion():
 
 
 # ============================================================
-# Blockwise covariate streams and stacked gradients
+# Blockwise streams and stacked gradients
 # ============================================================
 
 _STREAMS = {
@@ -564,14 +580,16 @@ _STREAMS = {
 def test_covariate_blocks_concatenate_to_the_full_draw(stream, d):
     env = _STREAMS[stream](d)
     for T in (1, 9, 256, 257, 1000):
-        x = env.draw(T)[0]
-        for block in (8, 256):
-            parts = list(env.covariate_blocks(T, block))
-            assert [len(p) for p in parts[:-1]] == [block] * (len(parts) - 1)
-            assert 1 <= len(parts[-1]) <= block
-            joined = np.concatenate(parts)
-            assert joined.shape == x.shape
-            assert joined.tobytes() == x.tobytes(), (T, block)
+        x, y = env.draw(T)
+        for block in (1, 8, 256):
+            parts = list(env.blocks(T, block))
+            sizes = [len(px) for px, _ in parts]
+            assert sizes[:-1] == [block] * (len(parts) - 1)
+            assert 1 <= sizes[-1] <= block
+            assert [len(py) for _, py in parts] == sizes
+            for joined, full in zip(map(np.concatenate, zip(*parts)), (x, y)):
+                assert joined.shape == full.shape
+                assert joined.tobytes() == full.tobytes(), (T, block)
 
 
 @pytest.mark.parametrize("d", [1, 7, 200])
