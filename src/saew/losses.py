@@ -26,20 +26,25 @@ from saew.core import DenseVector, Environment
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Monte-Carlo holdouts are ~17 MB each at d ~ 20; keep only a few alive.
-# An entry is (x, y, loss_star): the holdout plus the pinball losses of
-# theta_star on it, which every risk estimate subtracts.
+# An entry is (xt, y, loss_star, n): see _holdout.
 _HOLDOUT_CACHE: OrderedDict[
-    tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = OrderedDict()
+    tuple, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = OrderedDict()
 _HOLDOUT_CACHE_MAX = 4
 _HOLDOUT_SIZE = 10 ** 5
-# Holdout rows per pass of the Monte-Carlo oracle; a chunk's buffers stay
-# in L2.
+# Holdout columns per pass of the Monte-Carlo oracle (a chunk's buffers
+# stay in L2), and holdout rows drawn at a time when it is built.  A
+# multiple of _HOLDOUT_PAD, so every chunk starts and ends on one.
 _HOLDOUT_CHUNK = 8192
+# The holdout's columns are padded with zeros to a multiple of this.  A
+# row of a matrix-matrix product over chunks that start and end on
+# multiples of 16 columns has the bits of that row's product with the
+# whole holdout; narrower or unaligned chunk ends round some entries
+# differently.
+_HOLDOUT_PAD = 16
 # Parameter vectors scored per pass over the holdout: one matrix-matrix
-# product per chunk gives all of their products.  An entry of such a
-# product has the same bits whatever other rows and columns share it, for
-# groups of up to 11 rows (OpenBLAS's SkylakeX kernel rounds the last
-# columns of some 12-row products differently).
+# product per chunk gives all of their products.  A row of such a product
+# has the same bits whatever other rows share it, for groups of 1 to 16
+# rows; groups of 16 took more memory and were no faster than 8.
 _THETA_GROUP = 8
 
 
@@ -375,12 +380,17 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
 # ============================================================
 
 def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fixed seeded holdout of a quantile environment for Monte-Carlo risks.
 
-    Returns ``(x, y, loss_star)``; ``loss_star`` holds the pinball losses
-    ``u*(alpha_q - [u < 0])`` of ``theta_star`` at ``u = y - x.theta_star``.
-    The arrays are cached per environment config and are read-only.
+    Returns ``(xt, y, loss_star, n)``.  The ``n`` samples are the columns:
+    ``xt`` is the ``(d + 1, n_pad)`` design transposed (intercept row
+    first), ``y`` the responses and ``loss_star`` the pinball losses of
+    ``theta_star``, where ``n_pad`` is ``n`` rounded up to a multiple of
+    16 and the pad columns are zero.  The samples have the bits of one
+    ``(n, d)`` draw with ``y = x @ theta_base + noise``, though they are
+    drawn ``_HOLDOUT_CHUNK`` rows at a time.  The arrays are cached per
+    environment config and are read-only.
     """
     if env.loss != "pinball":
         raise ValueError(f"no Monte-Carlo holdout for {env.loss!r} loss")
@@ -392,21 +402,31 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
         return _HOLDOUT_CACHE[key]
     seed = int(cfg["seed"])
     d = int(cfg["d"])
-    alpha_q = float(cfg["alpha_q"])
+    noise_sd = float(cfg["noise_sd"])
+    theta_base = env.theta_star_metrics[1:]
     rng_x = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     rng_e = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    x = rng_x.standard_normal((n, d))
-    noise = float(cfg["noise_sd"]) * rng_e.standard_normal(n)
-    y = x @ env.theta_star_metrics[1:] + noise
-    x = np.hstack([np.ones((n, 1)), x])
-    # theta_star's products round as every scored vector's do (see
+    n_pad = -(-n // _HOLDOUT_PAD) * _HOLDOUT_PAD
+    xt = np.zeros((d + 1, n_pad))
+    xt[0, :n] = 1.0
+    y = np.zeros(n_pad)
+    for c0 in range(0, n, _HOLDOUT_CHUNK):
+        x = rng_x.standard_normal((min(_HOLDOUT_CHUNK, n - c0), d))
+        # One matrix-vector product per block, as over all n rows at once;
+        # numpy takes a one-row product as a dot, which rounds
+        # differently, so a one-row block is doubled.
+        product = (x @ theta_base if len(x) > 1
+                   else (np.concatenate((x, x)) @ theta_base)[:1])
+        y[c0:c0 + len(x)] = product + noise_sd * rng_e.standard_normal(
+            len(x))
+        xt[1:, c0:c0 + len(x)] = x.T
+    # theta_star's losses are taken as every scored vector's are (see
     # true_excess_risk), so theta_star itself scores exactly 0.
-    product = np.empty((1, n))
-    _gemm(env.theta_star_metrics[None], x, out=product)
-    u_star = y - product[0]
-    loss_star = u_star * (alpha_q - (u_star < 0.0))
-    entry = (x, y, loss_star)
-    for array in entry:
+    loss_star = np.empty(n_pad)
+    _losses(env.theta_star_metrics[None], xt, y, float(cfg["alpha_q"]),
+            out=loss_star[None])
+    entry = (xt, y, loss_star, n)
+    for array in entry[:3]:
         array.flags.writeable = False
     _HOLDOUT_CACHE[key] = entry
     while len(_HOLDOUT_CACHE) > _HOLDOUT_CACHE_MAX:
@@ -414,21 +434,52 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
     return entry
 
 
-def _gemm(group: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Write the products ``group @ x.T`` into ``out`` by a matrix-matrix
+def _gemm(group: np.ndarray, xt: np.ndarray, out: np.ndarray) -> None:
+    """Write the products ``group @ xt`` into ``out`` by a matrix-matrix
     product.
 
-    numpy computes a product with a single row on either side as a
-    matrix-vector product (or a dot), which rounds differently; such a
-    side is doubled and the copy's products dropped, so every entry has a
-    gemm's bits.
+    numpy computes a product with a single row as a matrix-vector
+    product, which rounds differently; a one-row group is doubled and the
+    copy's products dropped, so every entry has a gemm's bits.
     """
-    if len(group) > 1 and len(x) > 1:
-        np.matmul(group, x.T, out=out)
+    if len(group) > 1:
+        np.matmul(group, xt, out=out)
     else:
-        def two_rows(a: np.ndarray) -> np.ndarray:
-            return a if len(a) > 1 else np.concatenate((a, a))
-        out[:] = (two_rows(group) @ two_rows(x).T)[:len(group), :len(x)]
+        out[:] = (np.concatenate((group, group)) @ xt)[:1]
+
+
+def _pinball(u: np.ndarray, alpha_q: float, spare: np.ndarray) -> None:
+    """Overwrite the residuals ``u`` with their pinball losses,
+    ``max(u*alpha_q, u*(alpha_q - 1))``, using ``spare`` (``u``'s shape)
+    as scratch.
+
+    Each product is rounded once, as in ``u*(alpha_q - [u < 0])``, so the
+    losses equal that form's; only the sign of a zero loss may differ.
+    """
+    np.multiply(u, alpha_q - 1.0, out=spare)
+    np.multiply(u, alpha_q, out=u)
+    np.maximum(u, spare, out=u)
+
+
+def _losses(group: np.ndarray, xt: np.ndarray, y: np.ndarray,
+            alpha_q: float, out: np.ndarray,
+            star: np.ndarray | None = None) -> None:
+    """Write into ``out`` the pinball losses of each row of ``group`` on
+    the holdout columns ``(xt, y)``, minus ``star`` if given.
+
+    One chunk of ``_HOLDOUT_CHUNK`` columns at a time: one gemm gives the
+    whole group's products, and the elementwise passes run while the
+    chunk is in cache.
+    """
+    chunk = min(xt.shape[1], _HOLDOUT_CHUNK)
+    spare = np.empty(len(group) * chunk)
+    for c0 in range(0, xt.shape[1], chunk):
+        u = out[:, c0:c0 + chunk]
+        _gemm(group, xt[:, c0:c0 + chunk], out=u)
+        np.subtract(y[c0:c0 + chunk], u, out=u)
+        _pinball(u, alpha_q, spare[:u.size].reshape(u.shape))
+        if star is not None:
+            np.subtract(u, star[c0:c0 + chunk], out=u)
 
 
 def true_excess_risk(theta: DenseVector, env: Environment,
@@ -447,45 +498,42 @@ def true_excess_risk(theta: DenseVector, env: Environment,
     and one pass over the holdout scores a group of rows, each chunk's
     products by one matrix-matrix product.  A row's value and standard
     error depend on the row alone, not on the stack it comes in.
-    ``se_rows``, a boolean mask over the rows, names the rows whose
+    ``se_rows``, a boolean mask of shape ``(k,)``, names the rows whose
     standard error is wanted (default: all); the others get NaN.
+
+    Raises:
+        ValueError: ``theta`` of the wrong shape or with a non-finite
+            entry (the message names the first such row), or ``se_rows``
+            of a shape other than ``(k,)``.
     """
     thetas = np.asarray(theta, float)
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != env.dimension:
         raise ValueError(f"theta has shape {thetas.shape}, expected "
                          f"({env.dimension},) or (k, {env.dimension})")
-    if env.loss == "square":
-        return env.excess_risk_exact(thetas)
     stack = np.atleast_2d(thetas)
     k = stack.shape[0]
+    if not np.isfinite(stack).all():
+        row = int(np.argmin(np.isfinite(stack).all(axis=1)))
+        raise ValueError(f"theta row {row} has a non-finite entry")
     want_se = (np.ones(k, bool) if se_rows is None
                else np.asarray(se_rows, bool))
-    x, y, loss_star = _holdout(env)
+    if want_se.shape != (k,):
+        raise ValueError(f"se_rows has shape {want_se.shape}, expected "
+                         f"({k},), one entry per row of theta")
+    if env.loss == "square":
+        return env.excess_risk_exact(thetas)
+    xt, y, loss_star, n = _holdout(env)
     alpha_q = float(env.config["alpha_q"])
-    n = x.shape[0]
     values, ses = np.empty(k), np.full(k, np.nan)
     # Each row's losses minus the theta_star losses, kept whole: the mean
-    # and standard error sum a row in one pairwise pass, as for one vector.
-    diffs = np.empty((min(k, _THETA_GROUP), n))
-    chunk = min(n, _HOLDOUT_CHUNK)
-    factor = np.empty(diffs.shape[0] * chunk)
-    negative = np.empty(factor.shape, bool)
+    # and standard error sum a row's first n entries in one pairwise pass,
+    # as for one vector.
+    diffs = np.empty((min(k, _THETA_GROUP), xt.shape[1]))
     for g0 in range(0, k, _THETA_GROUP):
         group = stack[g0:g0 + _THETA_GROUP]
-        for c0 in range(0, n, chunk):
-            c1 = min(n, c0 + chunk)
-            # The pinball loss u * (alpha_q - [u < 0]) at u = y - x.theta,
-            # for every row of the group at once.
-            u = diffs[:len(group), c0:c1]
-            f = factor[:u.size].reshape(u.shape)
-            neg = negative[:u.size].reshape(u.shape)
-            _gemm(group, x[c0:c1], out=u)
-            np.subtract(y[c0:c1], u, out=u)
-            np.less(u, 0.0, out=neg)
-            np.subtract(alpha_q, neg, out=f)
-            np.multiply(u, f, out=u)
-            np.subtract(u, loss_star[c0:c1], out=u)
-        for r, diff in enumerate(diffs[:len(group)], start=g0):
+        _losses(group, xt, y, alpha_q, out=diffs[:len(group)],
+                star=loss_star)
+        for r, diff in enumerate(diffs[:len(group), :n], start=g0):
             values[r] = mean = diff.mean()
             if want_se[r]:
                 ses[r] = diff.std(ddof=1, mean=mean) / math.sqrt(n)

@@ -248,8 +248,10 @@ def test_quantile_mc_risk_reports_standard_errors(tmp_path):
 
 def _paired_risk(env):
     """``theta -> (risk, standard error)``: the paired Monte-Carlo
-    estimate on the environment's holdout, computed from scratch."""
-    x, y, _ = saew.losses._holdout(env)
+    estimate on the environment's holdout, computed from scratch on the
+    row-major ``(n, d + 1)`` design."""
+    xt, y, _, n = saew.losses._holdout(env)
+    x, y = np.ascontiguousarray(xt[:, :n].T), y[:n]
     alpha_q = env.config["alpha_q"]
 
     def pinball(u):

@@ -414,6 +414,13 @@ def test_true_excess_risk_deterministic():
     assert true_excess_risk(theta, rebuilt) == first
 
 
+def _row_major(holdout):
+    """The holdout as a row-major ``(n, d + 1)`` design and its ``n``
+    responses, the layout the oracle's arithmetic is checked against."""
+    xt, y, _, n = holdout
+    return np.ascontiguousarray(xt[:, :n].T), y[:n]
+
+
 def _paired_from_scratch(x, y, env, theta, alpha_q):
     """The paired Monte-Carlo estimate of one vector: mean, standard error."""
     def pinball(u):
@@ -430,7 +437,7 @@ def _paired_from_scratch(x, y, env, theta, alpha_q):
 
 def test_true_excess_risk_equals_paired_computation_from_scratch():
     env = make_quantile_env(d=3, d0=1, alpha_q=0.7, noise_sd=0.3, seed=9)
-    x, y, _ = _holdout(env)
+    x, y = _row_major(_holdout(env))
     rng = np.random.default_rng(4)
     for theta in (np.zeros(4), env.theta_star_metrics,
                   env.theta_star_metrics + 0.2 * rng.standard_normal(4)):
@@ -440,17 +447,20 @@ def test_true_excess_risk_equals_paired_computation_from_scratch():
     assert true_excess_risk(env.theta_star_metrics, env) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8192, 5])
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8192, 5,
+                               17, 33, 8193])
 def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
         monkeypatch, n):
     # More rows than one pass over the holdout takes, the last pass taking
     # 3 rows or one; holdouts that are not a whole number of chunks
-    # (10007), exactly one chunk, or shorter.
+    # (10007), exactly one chunk, or shorter.  At n = 17, chunks that end
+    # at n instead of a multiple of 16 columns round some products
+    # differently.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
     holdout = saew.losses._holdout
     monkeypatch.setattr(saew.losses, "_holdout",
                         lambda env: holdout(env, n))
-    x, y, _ = holdout(env, n)
+    x, y = _row_major(holdout(env, n))
     for extra in (3, 1):
         k = 2 * saew.losses._THETA_GROUP + extra
         rng = np.random.default_rng(8)
@@ -479,28 +489,88 @@ def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
                                                    full.se[r])
 
 
-@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193])
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5,
+                               16385])
 def test_holdout_chunk_products_equal_the_full_product(n):
-    # The oracle's premise: a row of a group's matrix-matrix product has
-    # the bits of that row's product with the whole holdout as a two-row
-    # stack, whatever the group's other rows, its size (up to the oracle's
-    # group size) and where the chunks end.  A one-row group or chunk
-    # (n = 8193) is doubled, as the oracle does.
+    # The oracle's premise: a row of a group's matrix-matrix product over
+    # the transposed, zero-padded holdout has the bits of that row's
+    # product with the whole row-major holdout as a two-row stack,
+    # whatever the group's other rows, its size (1 to 16) and where the
+    # chunks end, as long as they start and end on multiples of 16
+    # columns.  A one-row group is doubled, as the oracle does.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
-    x, _, _ = _holdout(env, n)
+    holdout = _holdout(env, n)
+    xt = holdout[0]
+    x, _ = _row_major(holdout)
+    n_pad = xt.shape[1]
+    assert n_pad % 16 == 0 and n <= n_pad < n + 16
     rng = np.random.default_rng(8)
-    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((16, 21))
+    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((24, 21))
     full = [(np.stack((theta, theta)) @ x.T)[0].tobytes() for theta in stack]
-    for size in range(1, saew.losses._THETA_GROUP + 1):
+    for size in range(1, 17):
         for g0 in (0, len(stack) - size):
             group = stack[g0:g0 + size]
-            for chunk in (1001, saew.losses._HOLDOUT_CHUNK, n):
-                products = np.empty((size, n))
-                for c0 in range(0, n, chunk):
-                    saew.losses._gemm(group, x[c0:c0 + chunk],
+            for chunk in (1008, saew.losses._HOLDOUT_CHUNK, n_pad):
+                products = np.empty((size, n_pad))
+                for c0 in range(0, n_pad, chunk):
+                    saew.losses._gemm(group, xt[:, c0:c0 + chunk],
                                       out=products[:, c0:c0 + chunk])
-                for r, row in enumerate(products, start=g0):
+                for r, row in enumerate(products[:, :n], start=g0):
                     assert row.tobytes() == full[r]
+
+
+@pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5, 1])
+def test_holdout_equals_one_whole_draw(n):
+    # The holdout is drawn a chunk of rows at a time, straight into its
+    # transposed, padded layout; it has the bits of one (n, d) draw with
+    # one matrix-vector product for y.  At n = 8193 the last chunk has a
+    # single row, whose product (a dot, unless doubled) rounds differently
+    # for this environment.
+    env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=14)
+    rng_x = np.random.default_rng(np.random.SeedSequence([14, 3]))
+    rng_e = np.random.default_rng(np.random.SeedSequence([14, 4]))
+    x = rng_x.standard_normal((n, 20))
+    noise = 0.2 * rng_e.standard_normal(n)
+    y = x @ env.theta_star_metrics[1:] + noise
+    x = np.hstack([np.ones((n, 1)), x])
+    star = env.theta_star_metrics
+    u = y - (np.stack((star, star)) @ x.T)[0]
+    loss_star = u * (0.3 - (u < 0.0))
+
+    holdout = _holdout(env, n)
+    xt, y_pad, loss_pad, size = holdout
+    assert size == n
+    assert xt.shape == (21, -(-n // 16) * 16)
+    assert y_pad.shape == loss_pad.shape == (xt.shape[1],)
+    x_rows, y_rows = _row_major(holdout)
+    assert x_rows.tobytes() == x.tobytes()
+    assert y_rows.tobytes() == y.tobytes()
+    # Equal as numbers: only the sign of a zero loss may differ.
+    np.testing.assert_array_equal(loss_pad[:n], loss_star)
+    assert not xt[:, n:].any() and not y_pad[n:].any()
+    assert not loss_pad[n:].any()
+
+
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize("alpha_q", [0.1, 0.5, 0.8, 0.999])
+def test_pinball_helper_equals_the_indicator_form(alpha_q):
+    rng = np.random.default_rng(17)
+    # Zeros, subnormals, the smallest normal, huge and infinite values, of
+    # both signs.
+    special = np.array([0.0, _TINY, 3.0 * _TINY, 1e-310,
+                        np.finfo(float).tiny, 1.0, 1e300, np.inf])
+    u = np.concatenate((special, -special, _TINY * np.arange(-40.0, 41.0),
+                        rng.standard_normal(1000),
+                        1e-300 * rng.standard_normal(1000)))
+    expected = u * (alpha_q - (u < 0.0))
+    got = u.copy()
+    saew.losses._pinball(got, alpha_q, np.empty_like(u))
+    # == as numbers; the bits agree wherever the loss is not zero.
+    assert np.array_equal(got, expected)
+    nonzero = expected != 0.0
+    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
 
 
 def test_exact_risk_of_a_stack_equals_the_formula_per_row():
@@ -555,6 +625,44 @@ def test_true_excess_risk_shape_check():
     env = make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=14)
     with pytest.raises(ValueError, match="shape"):
         true_excess_risk(np.zeros(3), env)  # ambient dimension is 4
+
+
+@pytest.mark.parametrize("mask", [np.ones(4, bool), np.ones(6, bool),
+                                  np.ones((5, 1), bool), np.ones((1, 5), bool),
+                                  np.array(True)])
+def test_se_rows_of_the_wrong_shape_is_rejected_before_any_pass(
+        monkeypatch, mask):
+    env = make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=14)
+
+    def no_pass(env):
+        raise AssertionError("the holdout was read")
+
+    monkeypatch.setattr(saew.losses, "_holdout", no_pass)
+    with pytest.raises(ValueError, match=r"se_rows.*\(5,\)"):
+        true_excess_risk(np.zeros((5, 4)), env, se_rows=mask)
+    square = make_square_env(d=4, d0=1, noise_sd=0.1, seed=1)
+    with pytest.raises(ValueError, match="se_rows"):
+        true_excess_risk(np.zeros((5, 4)), square, se_rows=mask)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("loss", ["square", "quantile"])
+def test_non_finite_theta_is_rejected_by_row(monkeypatch, bad, loss):
+    env = (make_square_env(d=4, d0=1, noise_sd=0.1, seed=1)
+           if loss == "square" else
+           make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=14))
+
+    def no_pass(env):
+        raise AssertionError("the holdout was read")
+
+    monkeypatch.setattr(saew.losses, "_holdout", no_pass)
+    stack = np.zeros((6, 4))
+    stack[3, 2] = bad
+    stack[5, 0] = bad
+    with pytest.raises(ValueError, match="row 3 "):
+        true_excess_risk(stack, env)
+    with pytest.raises(ValueError, match="row 0 "):
+        true_excess_risk(stack[3], env)
 
 
 def test_risk_estimate_float_conversion():
