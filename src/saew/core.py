@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import Any
@@ -224,13 +225,23 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "RunRecord":
-        """Read a record written by :meth:`to_csv` (metadata sidecar optional)."""
+        """Read a record written by :meth:`to_csv` (metadata sidecar optional).
+
+        Raises:
+            ValueError: the file is empty or holds no data rows.
+        """
         path = Path(path)
         with path.open() as fh:
             header = fh.readline().rstrip("\n")
             if not header:
                 raise ValueError(f"{path} is empty")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # A header-only file is rejected below, naming the file.
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if not len(rows):
+            raise ValueError(f"{path} holds no data rows")
         seed, config_hash = -1, ""
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():

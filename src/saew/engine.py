@@ -24,7 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from saew.bounds import a_prime, b_prime, delta_i, err_bound, radius_bound
+from saew.bounds import (
+    _log_window_term,
+    a_prime,
+    b_prime,
+    delta_i,
+    err_bound,
+    radius_bound,
+)
 from saew.core import DenseVector, L1Ball, ProblemParams
 from saew.subroutine import (
     OVER_B_WARNING,
@@ -289,8 +296,7 @@ def saew_fit_square(params: Sequence[ProblemParams], d: int,
                          f"match (T, {d}) and (T,)")
     if not params:
         return np.zeros((0, d)), np.zeros(0, dtype=int)
-    bank = WrapperBank(params, d, xs.shape[0],
-                       [f"wrapper {r}" for r in range(len(params))])
+    bank = WrapperBank(params, d, [f"wrapper {r}" for r in range(len(params))])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
                                 RuntimeWarning)
@@ -320,19 +326,19 @@ class WrapperBank:
     the one :func:`saew_step`, ``EGState.update`` (through
     :class:`EGBank`) and the bound evaluators apply to a single wrapper, in
     the same order, so each row has its wrapper's bits.  ``a'`` and ``b'``
-    come from the scalar evaluators, tabulated per (session, window) as the
-    rows reach them.  Only a row that closes a session takes a per-row
-    Python step.
+    combine each row's session term ``-log(delta_i)`` with the window term
+    of :func:`a_prime` and :func:`b_prime`, tabulated up to the steps
+    taken.  Only a row that closes a session takes a per-row Python step.
 
     Warns:
         UserWarning: at construction, once for each row with ``d0 == 0``,
             as :func:`saew_init` does.
     """
 
-    def __init__(self, params: Sequence[ProblemParams], d: int, T: int,
+    def __init__(self, params: Sequence[ProblemParams], d: int,
                  labels: Sequence[str]):
-        """Fresh wrappers, at least one, for ``T`` steps in dimension
-        ``d``; ``labels`` name the rows in error messages.
+        """Fresh wrappers, at least one, in dimension ``d``; ``labels``
+        name the rows in error messages.
 
         Raises:
             ValueError: ``d < 1``, some ``d0 > d``, or mixed ``delta``.
@@ -367,13 +373,11 @@ class WrapperBank:
         self.b_prime = np.zeros(n)
         self.theta_bar_sum = np.zeros((n, d))
         self.theta_tilde = np.zeros((n, d))
-        # a'/b' of (session i, window w) at flat index i * width + w; zero
-        # marks a pair not tabulated yet (both are positive).
-        self.width = T + 1
-        self.tabulated: list[int] = []
-        self.a_table = np.zeros(0)
-        self.b_table = np.zeros(0)
-        self._grow_tables(1)
+        # -log(delta_i) of each row's session i, and the window term of
+        # window w at index w (no window exceeds the steps taken).
+        self.neg_log_delta = np.full(n, -math.log(delta_i(self.delta, 1)))
+        self.window_term = np.zeros(1)
+        self.steps = 0
 
     @property
     def prediction(self) -> np.ndarray:
@@ -395,8 +399,18 @@ class WrapperBank:
         self.theta_bar_sum += theta_hat
         self.window += 1
         window = self.window
-        a_p, b_p = self._inflated(self.session * self.width + window)
-        self.a_prime, self.b_prime = a_p, b_p
+        self.steps += 1
+        if self.steps == len(self.window_term):
+            # Doubled, so a run of T steps copies it O(log T) times.
+            self.window_term = np.append(
+                self.window_term,
+                [_log_window_term(w) for w in range(self.steps,
+                                                    2 * self.steps)])
+        # a_prime's and b_prime's operations: x - y is x + (-y) exactly.
+        term, neg_log_delta = self.window_term[window], self.neg_log_delta
+        self.a_prime = a_p = (self.certificate.a
+                              + np.sqrt(2.0 * (term + neg_log_delta)))
+        self.b_prime = b_p = (self.certificate.b + 0.5) + term + neg_log_delta
         self.err = a_p * np.sqrt(eg.v2) + b_p * self.B
         self.eps = eps = 2.0 * np.sqrt(self.eps_factor * self.err
                                        / (self.alpha * window))
@@ -411,39 +425,6 @@ class WrapperBank:
             for r in np.flatnonzero(closing).tolist():
                 self._close(r, float(eps[r]))
 
-    def _inflated(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``a'`` and ``b'`` at the flat (session, window) indices ``k``."""
-        a_p, b_p = self.a_table[k], self.b_table[k]
-        if np.count_nonzero(b_p) < len(b_p):
-            for key in set(k[b_p == 0.0].tolist()):
-                self._tabulate(*divmod(key, self.width))
-            a_p, b_p = self.a_table[k], self.b_table[k]
-        return a_p, b_p
-
-    def _tabulate(self, i: int, window: int) -> None:
-        # Extend session i's prefix of windows at least to ``window``,
-        # doubling it so a session is tabulated O(log T) times.
-        done = self.tabulated[i]
-        last = min(self.width - 1, max(window, 2 * done))
-        delta_session = delta_i(self.delta, i + 1)
-        cert = self.certificate
-        for w in range(done + 1, last + 1):
-            self.a_table[i * self.width + w] = a_prime(cert.a, w,
-                                                       delta_session)
-            self.b_table[i * self.width + w] = b_prime(cert.b, w,
-                                                       delta_session)
-        self.tabulated[i] = last
-
-    def _grow_tables(self, sessions: int) -> None:
-        grow = sessions - len(self.tabulated)
-        if grow > 0:
-            grow = max(grow, len(self.tabulated))
-            self.tabulated += [0] * grow
-            self.a_table = np.concatenate(
-                (self.a_table, np.zeros(grow * self.width)))
-            self.b_table = np.concatenate(
-                (self.b_table, np.zeros(grow * self.width)))
-
     def _close(self, r: int, eps: float) -> None:
         """Close row ``r``'s session, cascade included."""
         p = self.params[r]
@@ -452,8 +433,8 @@ class WrapperBank:
         i = int(self.session[r]) + 1
         while p.d0 > 0 and eps <= _session_radius(p, i + 1):
             i += 1
-        self._grow_tables(i + 1)
         self.session[r] = i
+        self.neg_log_delta[r] = -math.log(delta_i(self.delta, i + 1))
         self.window[r] = 0
         self.next_radius[r] = _session_radius(p, i + 1)
         self.eps_factor[r] = _eps_factor(p, i)
@@ -534,8 +515,9 @@ def saew_restore(doc: dict) -> SaewState:
     vector = dict(convert=lambda v: np.array(v, float),
                   rule=f"hold {d} finite numbers",
                   valid=lambda v: v.shape == (d,) and np.isfinite(v).all())
-    b_hat = _read(doc, "optimizer.b_hat", rule="be finite and >= 0",
-                  valid=lambda v: 0.0 <= v < math.inf)
+    nonnegative = dict(rule="be finite and >= 0",
+                       valid=lambda v: 0.0 <= v < math.inf)
+    b_hat = _read(doc, "optimizer.b_hat", **nonnegative)
     optimizer = EGState(
         ball=L1Ball(_read(doc, "optimizer.center", **vector),
                     _session_radius(params, len(session_starts) - 1)),
@@ -553,10 +535,11 @@ def saew_restore(doc: dict) -> SaewState:
                           lambda v: RegretCertificate(**v)),
         t=t,
         optimizer=optimizer,
-        **{name: _read(doc, name) for name in _FLOATS},
-        eps_min=_read(doc, "eps_min", rule=f"be <= U={params.U!r}",
-                      valid=lambda v: v <= params.U),
-        eps_argmin=_read(doc, "eps_argmin", int),
+        **{name: _read(doc, name, **nonnegative) for name in _FLOATS},
+        eps_min=_read(doc, "eps_min", rule=f"be in [0, U={params.U!r}]",
+                      valid=lambda v: 0.0 <= v <= params.U),
+        eps_argmin=_read(doc, "eps_argmin", int, f"be in [0, t-1={t - 1}]",
+                         lambda v: 0 <= v < t),
         theta_bar_sum=_read(doc, "theta_bar_sum", **vector),
         theta_tilde=_read(doc, "theta_tilde", **vector),
         session_starts=session_starts,

@@ -505,7 +505,7 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
     if config.algorithm == "saew":
         params = ProblemParams(d0=config.wrapper_d0(), alpha=config.alpha,
                                U=config.U, B=config.B, delta=config.delta)
-        bank = WrapperBank([params] * len(seeds), d, config.T, labels)
+        bank = WrapperBank([params] * len(seeds), d, labels)
         l2_scale = 2.0 * math.sqrt(2.0 * max(params.d0, 1))
 
         def step(t, oracle):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -756,6 +757,19 @@ def _decreasing(values, doc):
     ("session_starts", _not_from_one),
     ("session_starts", _decreasing),
     ("eps_min", lambda v, doc: doc["params"]["U"] * 1.5),
+    ("eps_min", _negative),
+    ("eps_argmin", lambda v, doc: -7),
+    ("eps_argmin", lambda v, doc: doc["t"]),
+    ("eps_argmin", lambda v, doc: doc["t"] + 100),
+    ("eps_t", _nan),
+    ("eps_t", lambda v, doc: math.inf),
+    ("eps_t", _negative),
+    ("err_t", _negative),
+    ("err_t", lambda v, doc: math.inf),
+    ("a_prime_t", _nan),
+    ("a_prime_t", _negative),
+    ("b_prime_t", _nan),
+    ("b_prime_t", _negative),
 ])
 def test_snapshot_rejects_inconsistent_document(snapshot_doc, field, change):
     *parents, key = field.split(".")
@@ -983,7 +997,7 @@ def test_wrapper_bank_rows_match_saew_step_at_every_step(loss):
     draws = [env.draw(T) for env in envs]
     params = [ProblemParams(d0=2, alpha=alpha, U=1.0, B=2.0, delta=0.05)
               for alpha in (30.0, 1e4, 0.5)]
-    bank = WrapperBank(params, d, T, ["a", "b", "c"])
+    bank = WrapperBank(params, d, ["a", "b", "c"])
     states = [saew_init(p, d) for p in params]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -1010,7 +1024,7 @@ def test_wrapper_bank_warns_per_degenerate_row():
               for d0 in (0, 1, 0)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        WrapperBank(params, 2, 5, ["a", "b", "c"])
+        WrapperBank(params, 2, ["a", "b", "c"])
     assert [w.category for w in caught] == [UserWarning] * 2
     assert all("d0=0" in str(w.message) for w in caught)
 
@@ -1025,7 +1039,7 @@ def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
     params = ProblemParams(d0=0, alpha=30.0, U=1.0, B=100.0, delta=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        bank = WrapperBank([params], 2, len(xs), ["a"])
+        bank = WrapperBank([params], 2, ["a"])
         state = saew_init(params, 2)
     for t, (x, y) in enumerate(zip(xs, ys), 1):
         theta_hat = bank.prediction.copy()
@@ -1035,3 +1049,21 @@ def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
     assert state.optimizer.ball.radius == 0.0 and state.session == 2300
     assert bank.session[0] == state.session
     assert bank.theta_tilde[0].tobytes() == state.theta_tilde.tobytes()
+
+
+def test_wrapper_bank_memory_does_not_grow_with_the_session_index():
+    # With d0 = 0 every step closes a session: 3,000 sessions in 3,000
+    # steps.
+    params = ProblemParams(d0=0, alpha=30.0, U=1.0, B=100.0, delta=0.05)
+    grad = np.ones((1, 2))
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="d0=0"):
+            bank = WrapperBank([params], 2, ["a"])
+        for t in range(1, 3001):
+            bank.step(t, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.session[0] == 3000
+    assert peak < 2 ** 20, peak

@@ -1,5 +1,6 @@
 """Tests for the experiment harness and CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import math
@@ -607,16 +608,23 @@ def test_run_reads_the_stream_only_in_blocks(tmp_path, monkeypatch):
         assert run_one_seed(cfg, 1).rows.shape[0] == 300
 
 
-def test_run_memory_does_not_grow_with_the_horizon(tmp_path):
+@pytest.mark.parametrize("overrides, warning", [
+    (dict(algorithm="rda", rda_gamma=10.0), None),
+    # Every step closes a session.
+    (dict(saew_d0=0), "d0=0"),
+], ids=["rda", "saew_d0_0"])
+def test_run_memory_does_not_grow_with_the_horizon(tmp_path, overrides,
+                                                   warning):
     # A (T, d) design at d=2000 takes 16 kB a row; the record takes 7
     # columns, 56 B a row.
     peaks = []
     for T in (1000, 3000):
-        cfg = _config(tmp_path, d=2000, d0=5, algorithm="rda",
-                      rda_gamma=10.0, T=T, seeds=(1,))
+        cfg = _config(tmp_path, d=2000, d0=5, T=T, seeds=(1,), **overrides)
         tracemalloc.start()
         try:
-            run_one_seed(cfg, 1)
+            with (pytest.warns(UserWarning, match=warning) if warning
+                  else contextlib.nullcontext()):
+                run_one_seed(cfg, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -872,6 +880,16 @@ def test_cli_missing_config_exit_3(tmp_path, capsys):
 def test_cli_summarize_empty_dir_exit_2(tmp_path, capsys):
     assert main(["summarize", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_summarize_header_only_csv_exit_2(tmp_path, capsys):
+    path = tmp_path / "run_seed1.csv"
+    path.write_text(",".join(BASE_COLUMNS) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["summarize", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path} holds no data rows\n"
 
 
 def test_cli_calibrate_happy_path_and_schema(tmp_path):
