@@ -300,10 +300,10 @@ def saew_fit_square(params: Sequence[ProblemParams], d: int,
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
                                 RuntimeWarning)
-        for t, (x, y) in enumerate(zip(xs, ys.tolist()), start=1):
+        for x, y in zip(xs, ys.tolist()):
             # square_grad's arithmetic: one ddot per row.
             coef = 2.0 * (np.vecdot(x, bank.prediction) - y)
-            bank.step(t, coef[:, None] * x)
+            bank.step(coef[:, None] * x)
     return bank.theta_tilde, bank.session
 
 
@@ -385,17 +385,17 @@ class WrapperBank:
         subroutines' predictions; rewritten in place by :meth:`step`)."""
         return self.eg.prediction
 
-    def step(self, t: int, grad: np.ndarray) -> None:
-        """Step ``t`` of every wrapper, with ``grad[r]`` the gradient at
-        ``prediction[r]``.
+    def step(self, grad: np.ndarray) -> None:
+        """Step ``steps + 1`` of every wrapper, with ``grad[r]`` the
+        gradient at ``prediction[r]``.
 
         Raises:
-            ValueError: a gradient :meth:`EGBank.update` rejects (no row
-                changed).
+            ValueError: a gradient stack :meth:`EGBank.update` rejects (no
+                row changed).
         """
         eg = self.eg
         theta_hat = eg.prediction.copy()
-        eg.update(grad, t)
+        eg.update(grad, self.steps + 1)
         self.theta_bar_sum += theta_hat
         self.window += 1
         window = self.window

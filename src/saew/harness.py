@@ -23,11 +23,13 @@ import configparser
 import csv
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
+# np.median's NaN check imports numpy.ma on its first call (summarize);
+# loaded with the package, a run does not pay it mid-run.
+import numpy.ma  # noqa: F401
 
 from saew.baselines import rda_init, rda_predict, rda_step
 from saew.calibration import run_calibration
@@ -510,7 +512,7 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
 
         def step(t, oracle):
             theta_hat = bank.prediction.copy()
-            bank.step(t, oracle(theta_hat))
+            bank.step(oracle(theta_hat))
             extra = (bank.eps, bank.session)
             if config.trace_bounds:
                 extra += (bank.err, bank.a_prime, bank.b_prime,
@@ -594,6 +596,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a one-process
+        # run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         slices = _contiguous_slices(config.seeds, workers)
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             records = [record for part in pool.map(

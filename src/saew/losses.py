@@ -19,7 +19,9 @@ from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+# numpy loads its random module on first use; every environment seeds
+# generators, so it is loaded with the package rather than mid-run.
+import numpy.random  # noqa: F401
 
 from saew.core import DenseVector, Environment
 
@@ -141,6 +143,72 @@ def _phi(z: float) -> float:
 def _Phi(z: float) -> float:
     """Standard normal CDF."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+# Coefficients of Cephes' ndtri, highest degree first; the Q tables omit
+# their leading 1.  P0/Q0 serve |p - 0.5| <= 0.5 - e^-2, in p - 0.5; the
+# tails are in z = 1/x with x = sqrt(-2 log p): P1/Q1 for 2 <= x < 8,
+# P2/Q2 for x >= 8.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+# Cephes' sqrt(2 pi), one ulp above math.sqrt(2 * math.pi).
+_NDTRI_S2PI = 2.50662827463100050242e0
+
+
+def _scaled_ratio(z: float, p: tuple, q: tuple) -> float:
+    """``z * P(z) / Q(z)`` by Horner's rule, with ``Q``'s leading 1
+    implied (Cephes' ``z * polevl(z, P) / p1evl(z, Q)``)."""
+    num = p[0]
+    for c in p[1:]:
+        num = num * z + c
+    den = z + q[0]
+    for c in q[1:]:
+        den = den * z + c
+    return z * num / den
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile at level ``0 < p < 1``.
+
+    Cephes' ``ndtri``, its operations in their order, so the value has the
+    bits of ``scipy.special.ndtri(p)``.
+    """
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        x = y + y * _scaled_ratio(y * y, _NDTRI_P0, _NDTRI_Q0)
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    x = (x - math.log(x) / x) - (
+        _scaled_ratio(z, _NDTRI_P1, _NDTRI_Q1) if x < 8.0
+        else _scaled_ratio(z, _NDTRI_P2, _NDTRI_Q2))
+    return x if upper else -x
 
 
 def gaussian_pinball_risk(mu: float, tau: float, alpha_q: float) -> float:
@@ -288,6 +356,10 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
     The environment's config records ``x_bound``, the response bound
     ``y_bound``, and the strong-convexity constant ``alpha``.
     """
+    # The sampler's inverse CDF, imported here so that importing saew
+    # does not load scipy.
+    from scipy.special import ndtri
+
     _validate_env_args(d, d0)
     if noise_sd < 0.0:
         raise ValueError("noise_sd must be >= 0")
@@ -329,7 +401,8 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
     constant 1, so the ambient dimension is ``d + 1``.  The risk minimizer
     shifts the intercept by the noise's ``alpha_q``-quantile:
     ``theta_star = (noise_sd * ndtri(alpha_q), theta_base)``, and that
-    shifted vector is the one exposed for metrics.
+    shifted vector is the one exposed for metrics; ``ndtri`` is
+    :func:`_ndtri`, which has the bits of ``scipy.special.ndtri``.
 
     The exact excess risk uses the Gaussian closed form: the residual at
     ``theta = (t0, tv)`` is ``N(-t0 + q0, noise_sd^2 + ||theta_base - tv||^2)``
@@ -347,7 +420,7 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
         raise ValueError("noise_sd must be >= 0")
     theta_base = _sparse_unit_l1_parameter(
         d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
-    q0 = noise_sd * float(ndtri(alpha_q))
+    q0 = noise_sd * _ndtri(alpha_q)
     theta_star = np.concatenate(([q0], theta_base))
     min_risk = gaussian_pinball_risk(-q0, noise_sd, alpha_q)
 

@@ -248,14 +248,19 @@ class EGBank:
         ``EGState.update``.
 
         Raises:
-            ValueError: a gradient that is not finite, or whose squared
-                sup-norm overflows its row's ``v2``; the message names the
-                row's label and the step ``t``, and no row is changed.
+            ValueError: a ``grad`` whose shape is not ``(N, d)``, or a
+                gradient that is not finite, or whose squared sup-norm
+                overflows its row's ``v2``; the message names the shape,
+                or the row's label and the step ``t``, and no row is
+                changed.
 
         Warns:
             RuntimeWarning: at most once per call, when a row's gradient is
                 the first of its forecaster to exceed that row's ``B``.
         """
+        if grad.shape != self.grad_sum.shape:
+            raise ValueError(f"gradient stack has shape {grad.shape}, "
+                             f"expected {self.grad_sum.shape}")
         # np.count_nonzero and ufunc reductions: the array methods cost
         # more per call on a few rows.
         linf = np.maximum.reduce(np.abs(grad), axis=1)

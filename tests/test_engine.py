@@ -1005,7 +1005,7 @@ def test_wrapper_bank_rows_match_saew_step_at_every_step(loss):
             x = np.array([xs[t] for xs, _ in draws])
             y = np.array([ys[t] for _, ys in draws])
             theta_hat = bank.prediction.copy()
-            bank.step(t + 1, grad(theta_hat, x, y))
+            bank.step(grad(theta_hat, x, y))
             for r, state in enumerate(states):
                 assert (theta_hat[r].tobytes()
                         == state.optimizer.predict().tobytes())
@@ -1041,10 +1041,10 @@ def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
         warnings.simplefilter("ignore", UserWarning)
         bank = WrapperBank([params], 2, ["a"])
         state = saew_init(params, 2)
-    for t, (x, y) in enumerate(zip(xs, ys), 1):
+    for x, y in zip(xs, ys):
         theta_hat = bank.prediction.copy()
         assert theta_hat[0].tobytes() == state.optimizer.predict().tobytes()
-        bank.step(t, square_grad(theta_hat, x, y))
+        bank.step(square_grad(theta_hat, x, y))
         saew_step(state, lambda theta: square_grad(theta, x, y))
     assert state.optimizer.ball.radius == 0.0 and state.session == 2300
     assert bank.session[0] == state.session
@@ -1060,10 +1060,29 @@ def test_wrapper_bank_memory_does_not_grow_with_the_session_index():
     try:
         with pytest.warns(UserWarning, match="d0=0"):
             bank = WrapperBank([params], 2, ["a"])
-        for t in range(1, 3001):
-            bank.step(t, grad)
+        for _ in range(3000):
+            bank.step(grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert bank.session[0] == 3000
     assert peak < 2 ** 20, peak
+
+
+def test_wrapper_bank_rejects_bad_stacks_naming_its_own_step():
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=2.0, delta=0.1)
+    bank = WrapperBank([params] * 3, 5, ["a", "b", "c"])
+    for _ in range(2):
+        bank.step(np.full((3, 5), 0.25))
+    fields = ("prediction", "theta_tilde", "theta_bar_sum", "eps", "err",
+              "window", "session")
+    before = {name: np.copy(getattr(bank, name)) for name in fields}
+    with pytest.raises(ValueError, match=r"shape \(1, 5\), expected \(3, 5\)"):
+        bank.step(np.ones((1, 5)))
+    grad = np.full((3, 5), 0.25)
+    grad[1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^b: the gradient at step 3 "):
+        bank.step(grad)
+    for name in fields:
+        np.testing.assert_array_equal(getattr(bank, name), before[name])
+    assert bank.steps == 2

@@ -3,8 +3,11 @@
 import contextlib
 import csv
 import dataclasses
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -953,3 +956,40 @@ def test_cli_run_dispatches_calibrate_algorithm(tmp_path):
                            cal_clamp_lo=0, cal_clamp_hi=0)
     run_experiment(cfg)
     assert (Path(cfg.outdir) / "calibration_seed1.csv").exists()
+
+
+_IMPORT_PROBE = """
+import json, sys
+import saew, saew.cli
+from saew.harness import ExperimentConfig, run_experiment
+from saew.losses import make_quantile_env, make_truncated_square_env
+
+def loaded():
+    return [m for m in ("scipy", "scipy.special",
+                        "concurrent.futures.process") if m in sys.modules]
+
+seen = [loaded()]
+make_quantile_env(20, 3, 0.8, 0.1, 1)
+run_experiment(ExperimentConfig(env="quantile", d=20, d0=3, noise_sd=0.1,
+                                alpha_q=0.8, mc_risk=True, algorithm="saew",
+                                T=3, seeds=(1,), outdir=sys.argv[1]))
+seen.append(loaded())
+make_truncated_square_env(5, 2, 0.1, 1)
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_quantile_runs_leave_scipy_unloaded(tmp_path):
+    # A fresh interpreter: this one has loaded scipy for other tests.
+    src = str(Path(saew.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    after_import, after_quantile, after_truncated = json.loads(done.stdout)
+    assert after_import == []
+    assert after_quantile == []
+    assert "scipy.special" in after_truncated

@@ -11,6 +11,7 @@ from saew.core import excess_l2
 from saew.losses import (
     _holdout,
     RiskEstimate,
+    _ndtri,
     gaussian_pinball_risk,
     make_quantile_env,
     make_square_env,
@@ -171,6 +172,38 @@ def test_gaussian_pinball_risk_minimized_at_quantile_shift():
     best = gaussian_pinball_risk(mu_star, tau, a)
     for mu in np.linspace(mu_star - 2, mu_star + 2, 41):
         assert gaussian_pinball_risk(float(mu), tau, a) >= best - 1e-12
+
+
+def _ndtri_levels():
+    """Levels from the test configs, the branch boundaries e^-2 and e^-32
+    and their neighbours, a seeded sweep between the e^-32 boundaries, and
+    the deep tails: a seeded log-uniform sweep below e^-32 and every double
+    above 1 - e^-32."""
+    levels = [0.8, 0.8125, 0.3, 0.4, 0.5, 0.6, 0.7, 1e-20, 1e-300,
+              5e-324, 1 - 1e-15, np.nextafter(1.0, 0.0)]
+    for edge in (math.exp(-2), math.exp(-32)):
+        for b in (edge, 1.0 - edge):
+            below = above = b
+            for _ in range(4):
+                levels += [below, above]
+                below = np.nextafter(below, 0.0)
+                above = np.nextafter(above, 1.0)
+    lo = math.exp(-32)
+    rng = np.random.default_rng(2016)
+    sweep = rng.uniform(lo, 1.0 - lo, 100_000)
+    tail = np.exp(rng.uniform(math.log(5e-324), -32.0, 20_000))
+    top = 1.0 - np.arange(1, int(lo / 2 ** -53)) * 2 ** -53
+    return np.concatenate((levels, sweep, tail, top))
+
+
+def test_ndtri_has_the_bits_of_scipy():
+    from scipy.special import ndtri
+    levels = _ndtri_levels()
+    want = ndtri(levels)
+    got = np.array([_ndtri(p) for p in levels.tolist()])
+    wrong = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert len(levels) > 120_000
+    assert wrong.size == 0, levels[wrong[:5]].tolist()
 
 
 def test_gaussian_pinball_risk_matches_monte_carlo():

@@ -454,3 +454,18 @@ def test_bank_rejects_bad_gradients_naming_row_and_step():
     for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
                           bank.prediction), before):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (3, 1), (5,), (3, 6)],
+                         ids=["one_row", "one_column", "vector", "wide"])
+def test_bank_rejects_a_misshaped_gradient_stack(shape):
+    # (1, d) and (N, 1) would broadcast over every row.
+    bank = EGBank(np.zeros((3, 5)), [1.0] * 3, [1.0] * 3, ["a", "b", "c"])
+    bank.update(np.full((3, 5), 0.25), 1)
+    before = (bank.v2.copy(), bank.b_hat.copy(), bank.grad_sum.copy(),
+              bank.prediction.copy())
+    with pytest.raises(ValueError, match=r"shape .*, expected \(3, 5\)$"):
+        bank.update(np.ones(shape), 2)
+    for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
+                          bank.prediction), before):
+        np.testing.assert_array_equal(got, want)
