@@ -8,8 +8,10 @@ estimator and cumulative), session-length laws, and the martingale
 inequalities behind them (a Poisson-type bound for nonnegative increments
 and a regret-to-risk conversion for bounded-gradient sequences).
 
-Everything here is deterministic; the engine calls these same functions at
-run time so there is a single source of truth for each formula.
+Everything here is deterministic.  ``saew_step`` calls these functions at
+run time; ``WrapperBank`` inlines ``a'``, ``b'``, ``err`` and ``eps`` as
+array expressions in the same order, and tests check its bits against
+``saew_step``'s.
 """
 
 from __future__ import annotations

@@ -322,7 +322,8 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     ``n_out_of_range``.
 
     Raises:
-        ValueError: non-finite input, or ``x`` of the wrong shape.
+        ValueError: non-finite input, ``x`` of the wrong shape, or a
+            squared loss that overflows (state unchanged).
     """
     x = np.asarray(x, float)
     if x.shape != (state.d,):
@@ -331,19 +332,24 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     if not (np.all(np.isfinite(x)) and math.isfinite(y)):
         raise ValueError("inputs must be finite")
 
-    # Meta prediction from clipped frozen-candidate predictions.
+    # Meta prediction from clipped frozen-candidate predictions (every
+    # step and session start leaves the max log-weight at 0).
     preds = np.clip(state.theta_matrix @ x, -state.Y, state.Y)
-    shifted = state.log_weights - np.max(state.log_weights)
-    weights = np.exp(shifted)
+    weights = np.exp(state.log_weights)
     weights /= weights.sum()
     prediction = float(weights @ preds)
+    try:
+        meta_loss = (prediction - y) ** 2
+        with np.errstate(over="raise"):
+            losses = (preds - y) ** 2
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"step {state.t}: the squared loss of y={y!r} "
+                         "overflows") from None
 
     state.weight_snapshot_sum += weights
     if abs(y) > state.Y:
         state.n_out_of_range += 1
-
-    losses = (preds - y) ** 2
-    state.meta_loss_sum += (prediction - y) ** 2
+    state.meta_loss_sum += meta_loss
     state.candidate_loss_sum += losses
     state.log_weights -= state.eta * losses
     state.log_weights -= np.max(state.log_weights)

@@ -143,6 +143,16 @@ def _session_radius(params: ProblemParams, i: int) -> float:
     return params.U * 2.0 ** (-i / 2.0)
 
 
+def _next_session(params: ProblemParams, i: int, eps: float) -> int:
+    """The session that closing session ``i`` at radius ``eps`` opens: the
+    next, then one more while ``0 < eps <=`` the next one's radius (so
+    ``eps = 0``, from ``d0 = 0`` or an underflow, closes just one)."""
+    i += 1
+    while 0.0 < eps <= _session_radius(params, i + 1):
+        i += 1
+    return i
+
+
 def saew_init(params: ProblemParams, d: int,
               certificate: RegretCertificate | None = None) -> SaewState:
     """Fresh wrapper state: session 0 in the ball of radius ``U`` around 0.
@@ -184,15 +194,6 @@ def saew_init(params: ProblemParams, d: int,
     )
 
 
-def _open_next_session(state: SaewState, center: DenseVector) -> None:
-    """Close the current session and start the next one at ``t_i = state.t``
-    in the ball around ``center``."""
-    state.session_starts.append(state.t)
-    ball = L1Ball(center, _session_radius(state.params, state.session))
-    state.optimizer = eg_init(ball, state.params.B)
-    state.theta_bar_sum = np.zeros(ball.dimension)
-
-
 def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
     """Execute one step: predict, observe a gradient, refresh the radius.
 
@@ -200,9 +201,10 @@ def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
     return the loss (sub)gradient there.  After the subroutine update the
     session error budget and confidence radius are recomputed at the
     current window length, the session average and best estimator are
-    updated, and the session is closed (possibly several times, opening
-    zero-length sessions) while the radius is at most the next session's
-    ball radius.  The state is modified in place and returned.
+    updated.  Once the radius is at most the next session's ball radius
+    the session closes, cascading through zero-length sessions while a
+    positive radius stays at or below the next one.  The state is
+    modified in place and returned.
 
     Raises:
         ValueError: non-finite or wrongly shaped gradient, or one whose
@@ -235,16 +237,14 @@ def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
 
     state.t = t_cur + 1
 
-    # Close while eps_t is at most the next session's radius; zero-length
-    # sessions in a cascade share the truncated average as their center.
-    # With d0 = 0, eps_t is identically zero: close one session per step
-    # (an unbounded cascade would never terminate).
+    # Close once eps_t is at most the next session's radius; the sessions
+    # of a cascade start at t and share the truncated average as center.
     if state.eps_t <= _session_radius(p, state.session + 1):
-        center = truncate_top(theta_bar, p.d0)
-        _open_next_session(state, center)
-        while (p.d0 > 0
-               and state.eps_t <= _session_radius(p, state.session + 1)):
-            _open_next_session(state, center)
+        i = _next_session(p, state.session, state.eps_t)
+        state.session_starts += [state.t] * (i - state.session)
+        ball = L1Ball(truncate_top(theta_bar, p.d0), _session_radius(p, i))
+        state.optimizer = eg_init(ball, p.B)
+        state.theta_bar_sum = np.zeros(ball.dimension)
     return state
 
 
@@ -319,16 +319,18 @@ class WrapperBank:
 
     Row ``r`` starts as ``saew_init(params[r], d)``.  Before a step,
     ``prediction[r]`` is the point the wrapper's oracle is queried at; the
-    caller hands :meth:`step` the gradient rows there.  After it,
-    ``theta_tilde``, ``eps``, ``session``, ``err``, ``a_prime`` and
-    ``b_prime`` hold each row's ``theta_tilde``, ``eps_t``, ``session``,
-    ``err_t``, ``a_prime_t`` and ``b_prime_t``.  Every expression repeats
-    the one :func:`saew_step`, ``EGState.update`` (through
-    :class:`EGBank`) and the bound evaluators apply to a single wrapper, in
-    the same order, so each row has its wrapper's bits.  ``a'`` and ``b'``
-    combine each row's session term ``-log(delta_i)`` with the window term
-    of :func:`a_prime` and :func:`b_prime`, tabulated up to the steps
-    taken.  Only a row that closes a session takes a per-row Python step.
+    caller hands :meth:`step` the gradient rows there (the step binds a new
+    ``prediction``; ``eg``, the subroutines' :class:`EGBank`, counts the
+    steps and holds ``B``).  After it, ``theta_tilde``, ``eps``,
+    ``session``, ``err``, ``a_prime`` and ``b_prime`` hold each row's
+    ``theta_tilde``, ``eps_t``, ``session``, ``err_t``, ``a_prime_t`` and
+    ``b_prime_t``.  Every expression repeats the one :func:`saew_step`,
+    ``EGState.update`` (through :class:`EGBank`) and the bound evaluators
+    apply to a single wrapper, in the same order, so each row has its
+    wrapper's bits.  ``a'`` and ``b'`` combine each row's session term
+    ``-log(delta_i)`` with the window term of :func:`a_prime` and
+    :func:`b_prime`, tabulated up to the steps taken.  Only a row that
+    closes a session takes a per-row Python step.
 
     Warns:
         UserWarning: at construction, once for each row with ``d0 == 0``,
@@ -358,9 +360,8 @@ class WrapperBank:
         self.delta = params[0].delta
         self.certificate = eg_certificate(d)
         self.alpha = np.array([p.alpha for p in params])
-        self.B = np.array([p.B for p in params])
-        self.eg = EGBank(np.zeros((n, d)), [p.U for p in params], self.B,
-                         labels)
+        self.eg = EGBank(np.zeros((n, d)), [p.U for p in params],
+                         [p.B for p in params], labels)
         self.session = np.zeros(n, dtype=int)
         # Steps taken in the current session, the window length.
         self.window = np.zeros(n, dtype=int)
@@ -377,16 +378,15 @@ class WrapperBank:
         # window w at index w (no window exceeds the steps taken).
         self.neg_log_delta = np.full(n, -math.log(delta_i(self.delta, 1)))
         self.window_term = np.zeros(1)
-        self.steps = 0
 
     @property
     def prediction(self) -> np.ndarray:
         """The ``(N, d)`` points of the next step's oracle queries (the
-        subroutines' predictions; rewritten in place by :meth:`step`)."""
+        subroutines' predictions; each :meth:`step` binds a new array)."""
         return self.eg.prediction
 
     def step(self, grad: np.ndarray) -> None:
-        """Step ``steps + 1`` of every wrapper, with ``grad[r]`` the
+        """Step ``eg.steps + 1`` of every wrapper, with ``grad[r]`` the
         gradient at ``prediction[r]``.
 
         Raises:
@@ -394,24 +394,23 @@ class WrapperBank:
                 row changed).
         """
         eg = self.eg
-        theta_hat = eg.prediction.copy()
-        eg.update(grad, self.steps + 1)
+        theta_hat = eg.prediction
+        eg.update(grad)
         self.theta_bar_sum += theta_hat
         self.window += 1
         window = self.window
-        self.steps += 1
-        if self.steps == len(self.window_term):
+        steps = eg.steps
+        if steps == len(self.window_term):
             # Doubled, so a run of T steps copies it O(log T) times.
             self.window_term = np.append(
                 self.window_term,
-                [_log_window_term(w) for w in range(self.steps,
-                                                    2 * self.steps)])
+                [_log_window_term(w) for w in range(steps, 2 * steps)])
         # a_prime's and b_prime's operations: x - y is x + (-y) exactly.
         term, neg_log_delta = self.window_term[window], self.neg_log_delta
         self.a_prime = a_p = (self.certificate.a
                               + np.sqrt(2.0 * (term + neg_log_delta)))
         self.b_prime = b_p = (self.certificate.b + 0.5) + term + neg_log_delta
-        self.err = a_p * np.sqrt(eg.v2) + b_p * self.B
+        self.err = a_p * np.sqrt(eg.v2) + b_p * eg.B
         self.eps = eps = 2.0 * np.sqrt(self.eps_factor * self.err
                                        / (self.alpha * window))
 
@@ -430,9 +429,7 @@ class WrapperBank:
         p = self.params[r]
         center = truncate_top(self.theta_bar_sum[r] / int(self.window[r]),
                               p.d0)
-        i = int(self.session[r]) + 1
-        while p.d0 > 0 and eps <= _session_radius(p, i + 1):
-            i += 1
+        i = _next_session(p, int(self.session[r]), eps)
         self.session[r] = i
         self.neg_log_delta[r] = -math.log(delta_i(self.delta, i + 1))
         self.window[r] = 0

@@ -180,6 +180,10 @@ class ExperimentConfig:
         if self.saew_d0 < -1:
             raise ConfigError("saew_d0", f"must be -1 (auto) or >= 0, "
                                          f"got {self.saew_d0}")
+        dimension = self.d + 1 if self.env == "quantile" else self.d
+        if self.algorithm == "saew" and self.saew_d0 > dimension:
+            raise ConfigError("saew_d0", f"must be <= the wrapper's dimension"
+                                         f" {dimension}, got {self.saew_d0}")
         for key in ("alpha", "U", "B", "cal_Y"):
             value = getattr(self, key)
             if not (value > 0.0) or not math.isfinite(value):
@@ -511,7 +515,7 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
         l2_scale = 2.0 * math.sqrt(2.0 * max(params.d0, 1))
 
         def step(t, oracle):
-            theta_hat = bank.prediction.copy()
+            theta_hat = bank.prediction
             bank.step(oracle(theta_hat))
             extra = (bank.eps, bank.session)
             if config.trace_bounds:
@@ -527,8 +531,8 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
 
         def step(t, oracle):
             nonlocal average
-            theta_hat = eg.prediction.copy()
-            eg.update(oracle(theta_hat), t)
+            theta_hat = eg.prediction
+            eg.update(oracle(theta_hat))
             average += (theta_hat - average) / t
             return theta_hat, average, ()
         return step

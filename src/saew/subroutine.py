@@ -148,7 +148,8 @@ class EGState:
         at the current rate (rather than multiplying the old weights, which
         would freeze stale early rates into the state forever) is what keeps
         the regret inside the certificate for every gradient sequence.  A
-        zero gradient leaves weights, ``v2``, and ``b_hat`` unchanged.
+        zero gradient adds nothing to ``grad_sum``, ``v2`` or ``b_hat``, so
+        the recomputed prediction has the bits of the previous one.
 
         Returns the same (mutated) state, for chaining.
 
@@ -172,8 +173,6 @@ class EGState:
             raise ValueError("gradient too large: the sum of squared "
                              "sup-norms v2 would not be finite")
         self.t += 1
-        if linf == 0.0:
-            return self
         if self.b_hat <= self.B < linf:
             warnings.warn(OVER_B_WARNING, RuntimeWarning, stacklevel=2)
         self.b_hat = max(self.b_hat, linf)
@@ -213,8 +212,9 @@ class EGBank:
         radius: ``(N,)`` ball radii.
         B: ``(N,)`` declared sup-norm bounds.
         grad_sum, v2, b_hat: each row's ``EGState`` fields.
-        prediction: ``(N, d)`` predictions, rewritten in place by
-            :meth:`update` and :meth:`reset`.
+        steps: number of updates made.
+        prediction: ``(N, d)`` predictions; each :meth:`update` binds a new
+            array, and :meth:`reset` writes its row into the current one.
         labels: a name for each row, used in error messages.
     """
 
@@ -229,6 +229,7 @@ class EGBank:
         self.grad_sum = np.zeros((n, d))
         self.v2 = np.zeros(n)
         self.b_hat = np.zeros(n)
+        self.steps = 0
         # A fresh forecaster's uniform weights predict its center.
         self.prediction = self.center.copy()
 
@@ -241,18 +242,17 @@ class EGBank:
         self.v2[r] = 0.0
         self.b_hat[r] = 0.0
 
-    def update(self, grad: np.ndarray, t: int) -> None:
+    def update(self, grad: np.ndarray) -> None:
         """Fold row ``r`` of the ``(N, d)`` ``grad`` into forecaster ``r``.
 
-        A row with a zero gradient is left unchanged, as in
-        ``EGState.update``.
+        A zero row adds nothing to its row's ``grad_sum``, ``v2`` or
+        ``b_hat``, so that row's prediction keeps its bits.
 
         Raises:
             ValueError: a ``grad`` whose shape is not ``(N, d)``, or a
                 gradient that is not finite, or whose squared sup-norm
                 overflows its row's ``v2``; the message names the shape,
-                or the row's label and the step ``t``, and no row is
-                changed.
+                or the row's label and the step, and no row is changed.
 
         Warns:
             RuntimeWarning: at most once per call, when a row's gradient is
@@ -264,31 +264,21 @@ class EGBank:
         # np.count_nonzero and ufunc reductions: the array methods cost
         # more per call on a few rows.
         linf = np.maximum.reduce(np.abs(grad), axis=1)
-        nonzero = np.count_nonzero(linf)
-        if nonzero == len(linf):
-            self._update(slice(None), grad, linf, t)
-        elif nonzero:
-            rows = np.flatnonzero(linf)
-            self._update(rows, grad[rows], linf[rows], t)
-
-    def _update(self, rows, grad: np.ndarray, linf: np.ndarray,
-                t: int) -> None:
-        v2 = self.v2[rows] + linf * linf
+        v2 = self.v2 + linf * linf
         if not math.isfinite(np.maximum.reduce(v2)):
-            r = np.arange(len(self.v2))[rows][~np.isfinite(v2)][0]
+            r = np.flatnonzero(~np.isfinite(v2))[0]
             raise ValueError(
-                f"{self.labels[r]}: the gradient at step {t} is not finite, "
-                "or the sum of squared sup-norms v2 would not be")
-        b_hat, B = self.b_hat[rows], self.B[rows]
+                f"{self.labels[r]}: the gradient at step {self.steps + 1} is "
+                "not finite, or the sum of squared sup-norms v2 would not be")
+        b_hat, B, radius = self.b_hat, self.B, self.radius
         if (np.count_nonzero(linf > B)
                 and np.count_nonzero((b_hat <= B) & (B < linf))):
-            warnings.warn(OVER_B_WARNING, RuntimeWarning, stacklevel=3)
-        b_hat = np.maximum(b_hat, linf)
-        grad_sum = self.grad_sum[rows] + grad
-        self.v2[rows] = v2
-        self.b_hat[rows] = b_hat
-        self.grad_sum[rows] = grad_sum
-        radius = self.radius[rows]
+            warnings.warn(OVER_B_WARNING, RuntimeWarning, stacklevel=2)
+        self.steps += 1
+        self.v2 = v2
+        self.b_hat = b_hat = np.maximum(b_hat, linf)
+        grad_sum = self.grad_sum
+        grad_sum += grad
         # As in EGState._log_weights, a quotient that is not finite is +inf
         # (numpy's inf for a zero or tiny denominator).  A row of radius 0
         # gets a NaN rate here and predicts its center below.
@@ -296,16 +286,16 @@ class EGBank:
             rate = np.minimum(1.0 / (radius * b_hat),
                               self.root_log_2d / (radius * np.sqrt(v2)))
             rate *= radius
-        d = grad_sum.shape[1]
+        n, d = grad_sum.shape
         # Corner log-weights -step, then step, with step = rate * grad_sum.
-        log_w = np.empty((len(rate), 2 * d))
+        log_w = np.empty((n, 2 * d))
         regular = np.maximum.reduce(rate) < np.inf
         if regular:
             np.multiply(rate[:, None], grad_sum, out=log_w[:, d:])
             np.negative(log_w[:, d:], out=log_w[:, :d])
             log_w -= np.maximum.reduce(log_w, axis=1, keepdims=True)
         else:
-            # Rare: an overflowing rate, or a ball of radius 0.
+            # Rare: an infinite rate (b_hat 0 or tiny), or a radius of 0.
             log_w[:] = 0.0
             for k in np.flatnonzero(radius > 0.0).tolist():
                 log_w[k] = _log_weights_at(float(rate[k]), grad_sum[k])
@@ -316,12 +306,11 @@ class EGBank:
         scale = radius / np.add.reduce(w, axis=1)
         prediction = w[:, :d] - w[:, d:]
         prediction *= scale[:, None]
-        center = self.center[rows]
-        prediction += center
+        prediction += self.center
         if not regular:
             flat = radius == 0.0
-            prediction[flat] = center[flat]
-        self.prediction[rows] = prediction
+            prediction[flat] = self.center[flat]
+        self.prediction = prediction
 
 
 # ============================================================

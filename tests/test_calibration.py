@@ -1,5 +1,6 @@
 """Tests for the parameter-free calibration layer."""
 
+import dataclasses
 import math
 import warnings
 
@@ -218,6 +219,25 @@ def test_step_validation():
         calibration_step(state, np.array([np.nan, 0.0]), 0.0)
     with pytest.raises(ValueError, match="finite"):
         calibration_step(state, np.zeros(2), math.inf)
+
+
+@pytest.mark.parametrize("y", [1e200, 1.3e154])
+def test_step_rejects_an_overflowing_loss_state_unchanged(y):
+    # 1e200 overflows every square; 1.3e154 only the candidate at -Y's,
+    # not the meta prediction's (0, the two candidates' mean).
+    state = _manual_state([[1e154, 0.0], [-1e154, 0.0]], d=2, Y=1e154)
+    calibration_step(state, np.array([1.0, 0.0]), 0.3)
+    before = dataclasses.replace(state)
+    arrays = {name: np.copy(getattr(state, name)) for name in
+              ("log_weights", "weight_snapshot_sum", "candidate_loss_sum")}
+    with pytest.raises(ValueError, match=rf"^step {state.t}: .* overflows"):
+        calibration_step(state, np.array([1.0, 0.0]), y)
+    for name, value in arrays.items():
+        np.testing.assert_array_equal(getattr(state, name), value)
+    assert (state.t, state.meta_loss_sum, state.n_out_of_range,
+            len(state.history_y)) == (before.t, before.meta_loss_sum,
+                                      before.n_out_of_range,
+                                      len(before.history_y))
 
 
 def test_meta_regret_within_exp_concave_bound():

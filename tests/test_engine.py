@@ -4,13 +4,17 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import saew.engine
 from saew.bounds import (
     a_prime,
     b_prime,
@@ -25,6 +29,7 @@ from saew.engine import (
     SNAPSHOT_VERSION,
     SaewState,
     WrapperBank,
+    _next_session,
     saew_estimators,
     saew_fit_square,
     saew_init,
@@ -384,6 +389,54 @@ def test_degenerate_d0_closes_one_session_per_step():
     np.testing.assert_array_equal(theta_hat, np.zeros(2))
     np.testing.assert_array_equal(theta_tilde, np.zeros(2))
     assert state.eps_min == 0.0 and state.eps_argmin == 1
+
+
+def test_next_session_cascades_while_the_next_radius_admits_eps():
+    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
+    # Radii 2**(-i/2): 0.71, 0.5, 0.35, 0.25 for sessions 1-4.
+    assert _next_session(params, 0, 0.3) == 3
+    assert _next_session(params, 0, 0.6) == 1
+    assert _next_session(params, 2, 0.3) == 3
+
+
+_UNDERFLOW_PROBE = """
+import json, warnings
+import numpy as np
+from saew.core import ProblemParams
+from saew.engine import WrapperBank, saew_init, saew_step
+
+warnings.simplefilter("error")
+# eps_t underflows to 0.0 on the first step, and session radii reach 0
+# from session 157 on.
+params = ProblemParams(d0=1, alpha=1e300, U=1e-300, B=1e-10, delta=0.05)
+grad = np.array([1e-11, 0.0])
+state = saew_init(params, 2)
+bank = WrapperBank([params], 2, ["a"])
+sessions = []
+for _ in range(400):
+    saew_step(state, lambda theta: grad)
+    bank.step(grad[None])
+    assert (bank.session[0], bank.eps[0]) == (state.session, state.eps_t)
+    assert bank.prediction[0].tobytes() == state.optimizer.predict().tobytes()
+    assert bank.theta_tilde[0].tobytes() == state.theta_tilde.tobytes()
+    sessions.append(state.session)
+print(json.dumps([sessions, state.eps_t, len(state.session_starts)]))
+"""
+
+
+def test_underflowing_radius_closes_one_session_per_step():
+    # A fresh interpreter with a timeout: a cascade that never ends fails
+    # the test instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(saew.engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDERFLOW_PROBE],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    sessions, eps, starts = json.loads(done.stdout)
+    assert sessions == list(range(1, 401))
+    assert eps == 0.0 and starts == 401
 
 
 # ============================================================
@@ -1085,4 +1138,4 @@ def test_wrapper_bank_rejects_bad_stacks_naming_its_own_step():
         bank.step(grad)
     for name in fields:
         np.testing.assert_array_equal(getattr(bank, name), before[name])
-    assert bank.steps == 2
+    assert bank.eg.steps == 2

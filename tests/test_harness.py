@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -946,6 +947,32 @@ def test_cli_calibrate_budget_exhaustion_exit_2(tmp_path, capsys):
     cfg.to_ini(ini)
     assert main(["calibrate", "--config", str(ini), "--budget", "10"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_cli_calibrate_overflowing_loss_exit_2(tmp_path, capsys):
+    cfg = ExperimentConfig(env="square", d=4, d0=2, noise_sd=1e200,
+                           algorithm="calibrate", T=8, seeds=(1,),
+                           outdir=str(tmp_path / "cal"), cal_Y=1.0)
+    ini = tmp_path / "cal.ini"
+    cfg.to_ini(ini)
+    assert main(["calibrate", "--config", str(ini)]) == 2
+    assert re.match(r"config error: step 1: the squared loss of y=.* "
+                    r"overflows\n$", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("env,saew_d0,dimension", [
+    ("square", 6, 5), ("quantile", 7, 6)])
+def test_cli_run_rejects_saew_d0_above_the_wrapper_dimension(
+        tmp_path, capsys, env, saew_d0, dimension):
+    cfg = _config(tmp_path, env=env, saew_d0=dimension)
+    cfg.validate()
+    ini = tmp_path / "run.ini"
+    dataclasses.replace(cfg, saew_d0=saew_d0).to_ini(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: saew_d0: must be <= the wrapper's dimension "
+        f"{dimension}, got {saew_d0}\n")
+    assert not Path(cfg.outdir).exists()
 
 
 def test_cli_run_dispatches_calibrate_algorithm(tmp_path):

@@ -406,7 +406,7 @@ def test_bank_rows_match_eg_states_bit_for_bit():
                 bank.reset(2, np.array([0.1, 0.0, -0.2]), 0.25)
                 states[2] = eg_init(_ball(d=d, radius=0.25,
                                           center=[0.1, 0.0, -0.2]), B=1.5)
-            bank.update(g, step)
+            bank.update(g)
             for r, state in enumerate(states):
                 state.update(g[r])
                 assert (bank.prediction[r].tobytes()
@@ -420,7 +420,7 @@ def test_bank_takes_the_smallest_subnormal_like_eg_state(radius):
     bank = EGBank(np.zeros((2, 2)), [radius, 1.0], [1.0, 1.0], ["a", "b"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bank.update(np.array([[5e-324, 0.0], [0.5, -0.25]]), 1)
+        bank.update(np.array([[5e-324, 0.0], [0.5, -0.25]]))
     state = eg_init(_ball(d=2, radius=radius), B=1.0)
     state.update(np.array([5e-324, 0.0]))
     np.testing.assert_array_equal(bank.prediction[0], [-radius, 0.0])
@@ -431,18 +431,18 @@ def test_bank_warns_at_most_once_per_update_and_forecaster():
     bank = EGBank(np.zeros((3, 2)), [1.0] * 3, [1.0, 1.0, 5.0], ["a", "b", "c"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bank.update(np.array([[2.0, 0.0], [0.0, 3.0], [2.0, 0.0]]), 1)
-        bank.update(np.array([[4.0, 0.0], [0.0, 0.5], [4.0, 0.0]]), 2)
+        bank.update(np.array([[2.0, 0.0], [0.0, 3.0], [2.0, 0.0]]))
+        bank.update(np.array([[4.0, 0.0], [0.0, 0.5], [4.0, 0.0]]))
         assert [str(w.message) for w in caught] == [OVER_B_WARNING]
         bank.reset(0, np.zeros(2), 1.0)
-        bank.update(np.array([[0.0, 1.5], [0.5, 0.0], [6.0, 0.0]]), 3)
+        bank.update(np.array([[0.0, 1.5], [0.5, 0.0], [6.0, 0.0]]))
     assert [w.category for w in caught] == [RuntimeWarning] * 2
 
 
 def test_bank_rejects_bad_gradients_naming_row_and_step():
     bank = EGBank(np.zeros((2, 2)), [1.0, 1.0], [1.0, 1.0],
                   ["seed 7", "seed 9"])
-    bank.update(np.array([[0.5, 0.0], [0.0, 0.5]]), 1)
+    bank.update(np.array([[0.5, 0.0], [0.0, 0.5]]))
     before = (bank.v2.copy(), bank.b_hat.copy(), bank.grad_sum.copy(),
               bank.prediction.copy())
     for g, label in (([[0.5, 0.0], [np.nan, 0.0]], "seed 9"),
@@ -450,7 +450,7 @@ def test_bank_rejects_bad_gradients_naming_row_and_step():
                      ([[0.1, 0.0], [0.0, -1.5e154]], "seed 9")):
         with pytest.raises(ValueError, match=f"^{label}: .* step 2 "):
             with np.errstate(over="ignore"):
-                bank.update(np.array(g), 2)
+                bank.update(np.array(g))
     for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
                           bank.prediction), before):
         np.testing.assert_array_equal(got, want)
@@ -461,11 +461,11 @@ def test_bank_rejects_bad_gradients_naming_row_and_step():
 def test_bank_rejects_a_misshaped_gradient_stack(shape):
     # (1, d) and (N, 1) would broadcast over every row.
     bank = EGBank(np.zeros((3, 5)), [1.0] * 3, [1.0] * 3, ["a", "b", "c"])
-    bank.update(np.full((3, 5), 0.25), 1)
+    bank.update(np.full((3, 5), 0.25))
     before = (bank.v2.copy(), bank.b_hat.copy(), bank.grad_sum.copy(),
               bank.prediction.copy())
     with pytest.raises(ValueError, match=r"shape .*, expected \(3, 5\)$"):
-        bank.update(np.ones(shape), 2)
+        bank.update(np.ones(shape))
     for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
                           bank.prediction), before):
         np.testing.assert_array_equal(got, want)
