@@ -48,7 +48,6 @@ from saew.core import (
 from saew.engine import (
     SaewState,
     saew_estimators,
-    saew_fit_square,
     saew_init,
     saew_restore,
     saew_snapshot,
@@ -118,7 +117,6 @@ __all__ = [
     "run_experiment",
     "run_one_seed",
     "saew_estimators",
-    "saew_fit_square",
     "saew_init",
     "saew_restore",
     "saew_snapshot",

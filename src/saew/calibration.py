@@ -16,8 +16,8 @@ During session ``j``:
 
 Candidates train only at session boundaries: when session ``j`` closes,
 every grid-``(j+1)`` wrapper is fitted once over the whole history, in
-stream order and in one batched pass, and only its ``theta_tilde`` is
-kept.
+stream order, as one row of a wrapper bank stepped on the square-loss
+gradient, and only its ``theta_tilde`` is kept.
 
 The session estimator ``f_bar`` is the average of the meta predictors
 used over the previous session, stored as time-averaged weights over the
@@ -32,12 +32,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+import re
+import warnings
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from saew.core import ProblemParams
-from saew.engine import saew_fit_square
+from saew.engine import WrapperBank
+from saew.losses import square_grad
+from saew.subroutine import OVER_B_WARNING
 # Unused here; benchmarks/tracer.py wraps these names in this module.
 from saew.engine import saew_estimators, saew_init, saew_step  # noqa: F401
 
@@ -77,6 +81,34 @@ def _exponent_range(lo: int, hi: int,
     return range(lo, hi + 1)
 
 
+def _grid_ranges(j: int, d: int, Y: float,
+                 exponent_clamp: tuple[int, int] | None
+                 ) -> Iterator[tuple[int, int, range, range]]:
+    """Grid ``j``'s non-null entries as exponent ranges, in grid order:
+    ``(d0, B exponent, alpha exponents, U exponents)`` per ``(d0, B)``.
+
+    Raises:
+        ValueError: if ``d < 1``, ``Y <= 0``, ``j < 0``, or a malformed
+            clamp.
+    """
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if not (Y > 0.0) or not math.isfinite(Y):
+        raise ValueError(f"Y must be > 0, got {Y}")
+    if exponent_clamp is not None and exponent_clamp[0] > exponent_clamp[1]:
+        raise ValueError(f"bad exponent clamp: {exponent_clamp}")
+    ub_exponents = _exponent_range(
+        -2 * j, 2 * j + math.ceil(2 * math.log2(Y)), exponent_clamp)
+    for d0 in [2 ** k for k in range(0, math.ceil(math.log2(d)) + 1)]:
+        for kb in ub_exponents:
+            alpha_lo = -2 * j + math.ceil(math.log2(2.0 ** kb * d0 / Y ** 2))
+            alpha_hi = j + math.ceil(math.log2(d0))
+            yield (d0, kb, _exponent_range(alpha_lo, alpha_hi,
+                                           exponent_clamp), ub_exponents)
+
+
 def build_grid(j: int, d: int, Y: float,
                exponent_clamp: tuple[int, int] | None = None
                ) -> tuple[GridEntry, ...]:
@@ -98,29 +130,13 @@ def build_grid(j: int, d: int, Y: float,
         ValueError: if ``d < 1``, ``Y <= 0``, ``j < 0``, or a malformed
             clamp.
     """
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not (Y > 0.0) or not math.isfinite(Y):
-        raise ValueError(f"Y must be > 0, got {Y}")
-    if exponent_clamp is not None and exponent_clamp[0] > exponent_clamp[1]:
-        raise ValueError(f"bad exponent clamp: {exponent_clamp}")
-
     entries: list[GridEntry] = [GridEntry(d0=0)]
-    d0_values = [2 ** k for k in range(0, math.ceil(math.log2(d)) + 1)]
-    ub_exponents = _exponent_range(
-        -2 * j, 2 * j + math.ceil(2 * math.log2(Y)), exponent_clamp)
-    for d0 in d0_values:
-        for kb in ub_exponents:
-            B = 2.0 ** kb
-            alpha_lo = -2 * j + math.ceil(math.log2(B * d0 / Y ** 2))
-            alpha_hi = j + math.ceil(math.log2(d0))
-            for ka in _exponent_range(alpha_lo, alpha_hi, exponent_clamp):
-                alpha = 2.0 ** ka
-                for ku in ub_exponents:
-                    entries.append(
-                        GridEntry(d0=d0, alpha=alpha, U=2.0 ** ku, B=B))
+    for d0, kb, alpha_exponents, ub_exponents in _grid_ranges(
+            j, d, Y, exponent_clamp):
+        for ka in alpha_exponents:
+            for ku in ub_exponents:
+                entries.append(GridEntry(d0=d0, alpha=2.0 ** ka,
+                                         U=2.0 ** ku, B=2.0 ** kb))
     return tuple(entries)
 
 
@@ -131,15 +147,16 @@ def grid_cost(T: int, d: int, Y: float,
 
     A session closes at every ``t = 2**k <= T + 1`` and fits each non-null
     grid-``k`` candidate over the ``2**k - 1`` samples seen so far.  This
-    is the quantity compared against the compute budget.
+    is the quantity compared against the compute budget; it counts the
+    grids from their exponent ranges without building them.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     cost = 0
     k = 1
     while 2 ** k <= T + 1:
-        fitted = sum(1 for e in build_grid(k, d, Y, exponent_clamp)
-                     if not e.is_null)
+        fitted = sum(len(alphas) * len(us) for _, _, alphas, us
+                     in _grid_ranges(k, d, Y, exponent_clamp))
         cost += fitted * (2 ** k - 1)
         k += 1
     return cost
@@ -233,17 +250,42 @@ def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
     """One row per entry: ``theta_tilde`` of a fresh wrapper run over the
     history on the square loss, in stream order (zeros for the null entry).
 
-    All non-null wrappers run in one :func:`saew_fit_square` pass.
-    Nominal sparsity above the ambient dimension is run at ``d0 = d``
-    (the truncation keeps every coordinate either way).
+    The non-null wrappers are the rows of one :class:`WrapperBank`, each
+    with the bits of its own ``saew_step`` run; unlike the subroutine, the
+    fit issues no warning for gradients above ``B``.  Nominal sparsity
+    above the ambient dimension is run at ``d0 = d`` (the truncation keeps
+    every coordinate either way).
     """
     theta_matrix = np.zeros((len(entries), d))
     rows = [row for row, entry in enumerate(entries) if not entry.is_null]
+    if not rows:
+        return theta_matrix
     params = [ProblemParams(d0=min(e.d0, d), alpha=e.alpha, U=e.U, B=e.B,
                             delta=delta_j)
               for e in entries if not e.is_null]
-    theta_matrix[rows] = saew_fit_square(params, d, history_x, history_y)[0]
+    bank = WrapperBank(params, d, [f"candidate {r}" for r in rows])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
+                                RuntimeWarning)
+        for x, y in zip(history_x, history_y):
+            bank.step(square_grad(bank.prediction, x, y))
+    theta_matrix[rows] = bank.theta_tilde
     return theta_matrix
+
+
+def _open_session(state: CalibrationState) -> None:
+    """Start session ``state.j``: its grid's candidates, fitted on the
+    whole history, and a fresh meta-aggregator."""
+    state.candidates = list(build_grid(state.j, state.d, state.Y,
+                                       state.exponent_clamp))
+    state.theta_matrix = _fit_candidates(
+        state.candidates, state.d, session_delta(state.delta, state.j),
+        state.history_x, state.history_y)
+    m = len(state.candidates)
+    state.log_weights = np.zeros(m)
+    state.weight_snapshot_sum = np.zeros(m)
+    state.meta_loss_sum = 0.0
+    state.candidate_loss_sum = np.zeros(m)
 
 
 def calibration_init(d: int, Y: float, delta: float,
@@ -260,27 +302,21 @@ def calibration_init(d: int, Y: float, delta: float,
         raise ValueError(f"Y must be > 0, got {Y}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    candidates = list(build_grid(0, d, Y, exponent_clamp))
-    n = len(candidates)
-    return CalibrationState(
-        d=d, Y=Y, delta=delta, exponent_clamp=exponent_clamp,
-        j=0, t=1,
-        candidates=candidates,
-        theta_matrix=np.zeros((n, d)),
-        log_weights=np.zeros(n),
-        weight_snapshot_sum=np.zeros(n),
-        meta_loss_sum=0.0,
-        candidate_loss_sum=np.zeros(n),
-        past_estimators=[],
-        history_x=[], history_y=[],
-        n_out_of_range=0,
-        session_rows=[],
-    )
+    # _open_session sets the session's fields.
+    state = CalibrationState(
+        d=d, Y=Y, delta=delta, exponent_clamp=exponent_clamp, j=0, t=1,
+        candidates=[], theta_matrix=np.zeros((0, d)),
+        log_weights=np.zeros(0), weight_snapshot_sum=np.zeros(0),
+        meta_loss_sum=0.0, candidate_loss_sum=np.zeros(0),
+        past_estimators=[], history_x=[], history_y=[], n_out_of_range=0,
+        session_rows=[])
+    _open_session(state)
+    return state
 
 
 def _close_session(state: CalibrationState) -> None:
-    """Roll over at ``t = 2**(j+1)``: record session ``j``, fit the
-    grid-``(j+1)`` candidates on the whole history, reset the meta."""
+    """Roll over at ``t = 2**(j+1)``: record session ``j`` and open
+    session ``j + 1``."""
     steps = state.t - 2 ** state.j
     # Average meta predictor over the finished session.
     state.past_estimators.append(SessionPredictor(
@@ -297,16 +333,7 @@ def _close_session(state: CalibrationState) -> None:
         best_risk=float(state.candidate_loss_sum[best]) / steps,
     ))
     state.j += 1
-    state.candidates = list(build_grid(state.j, state.d, state.Y,
-                                       state.exponent_clamp))
-    state.theta_matrix = _fit_candidates(
-        state.candidates, state.d, session_delta(state.delta, state.j),
-        state.history_x, state.history_y)
-    m = len(state.candidates)
-    state.log_weights = np.zeros(m)
-    state.weight_snapshot_sum = np.zeros(m)
-    state.meta_loss_sum = 0.0
-    state.candidate_loss_sum = np.zeros(m)
+    _open_session(state)
 
 
 def calibration_step(state: CalibrationState, x: np.ndarray, y: float

@@ -131,8 +131,7 @@ class Environment:
             and a prefix of every longer draw, bit for bit.
         blocks: ``blocks(n, block)`` yields ``draw(n)`` in consecutive
             ``(X, y)`` blocks of at most ``block`` rows, bit for bit,
-            drawing one block at a time; ``None`` for a stream without
-            that form.
+            drawing one block at a time.
         excess_risk_exact: closed-form instantaneous excess risk of a
             parameter vector (a float), or of each row of a ``(k, d)``
             stack (an array); ``None`` if no closed form is available.
@@ -144,9 +143,8 @@ class Environment:
     config: Mapping[str, Any]
     theta_star_metrics: np.ndarray
     draw: Callable[[int], tuple[np.ndarray, np.ndarray]] = dataclasses.field(repr=False)
-    blocks: Callable[[int, int],
-                     Iterator[tuple[np.ndarray, np.ndarray]]] | None = (
-        dataclasses.field(default=None, repr=False))
+    blocks: Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]] = (
+        dataclasses.field(repr=False))
     excess_risk_exact: Callable[[np.ndarray], float | np.ndarray] | None = dataclasses.field(
         default=None, repr=False)
 

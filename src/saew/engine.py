@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import re
 import warnings
 from typing import Callable, Sequence
 
@@ -34,7 +33,6 @@ from saew.bounds import (
 )
 from saew.core import DenseVector, L1Ball, ProblemParams
 from saew.subroutine import (
-    OVER_B_WARNING,
     EGBank,
     EGState,
     RegretCertificate,
@@ -261,51 +259,6 @@ def saew_estimators(state: SaewState) -> tuple[DenseVector, DenseVector]:
 # ============================================================
 # Wrappers as rows
 # ============================================================
-
-def saew_fit_square(params: Sequence[ProblemParams], d: int,
-                    xs: np.ndarray, ys: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one wrapper per entry of ``params`` over a square-loss history.
-
-    Row ``r`` of the result is, bit for bit, what ``saew_init(params[r],
-    d)`` followed by one ``saew_step`` per sample in stream order, with the
-    oracle ``theta -> 2 * (x @ theta - y) * x``, leaves behind: the
-    wrappers are the rows of one :class:`WrapperBank`.  Unlike the
-    subroutine, the fit issues no warning for gradients above ``B``.
-
-    Args:
-        params: one parameter set per wrapper, all with the same ``delta``.
-        d: ambient dimension.
-        xs: ``(T, d)`` inputs, in stream order.
-        ys: ``(T,)`` responses.
-
-    Returns:
-        ``(theta_tilde, session)``: the ``(N, d)`` best estimators and each
-        wrapper's final session index.
-
-    Raises:
-        ValueError: ``d < 1``, some ``d0 > d``, mixed ``delta``, a history
-            of the wrong shape, or a non-finite gradient.
-    """
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    if xs.size == 0:
-        xs = xs.reshape(0, d)
-    if ys.ndim != 1 or xs.shape != (ys.shape[0], d):
-        raise ValueError(f"history shapes {xs.shape} and {ys.shape} do not "
-                         f"match (T, {d}) and (T,)")
-    if not params:
-        return np.zeros((0, d)), np.zeros(0, dtype=int)
-    bank = WrapperBank(params, d, [f"wrapper {r}" for r in range(len(params))])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
-                                RuntimeWarning)
-        for x, y in zip(xs, ys.tolist()):
-            # square_grad's arithmetic: one ddot per row.
-            coef = 2.0 * (np.vecdot(x, bank.prediction) - y)
-            bank.step(coef[:, None] * x)
-    return bank.theta_tilde, bank.session
-
 
 def _eps_factor(params: ProblemParams, i: int) -> float:
     """``radius_bound``'s ``2 * d0 * U * 2**(-i/2)``, multiplied in its

@@ -23,8 +23,7 @@ from saew.calibration import (
     zero_predictor,
 )
 from saew.core import ProblemParams
-from saew.engine import (saew_estimators, saew_fit_square, saew_init,
-                         saew_step)
+from saew.engine import saew_estimators, saew_init, saew_step
 from saew.losses import make_square_env
 
 
@@ -408,18 +407,54 @@ def test_grid_cost_single_step():
     assert grid_cost(1, 2, 1.0) == nonnull
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+@pytest.mark.parametrize("Y", [0.3, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("clamp", [None, (-1, 1), (0, 6), (3, 3), (10, 10)])
+def test_grid_cost_counts_the_non_null_entries_of_each_grid(d, Y, clamp):
+    for T in (1, 2, 6, 7, 40, 63):
+        expected = sum(
+            sum(1 for e in build_grid(k, d, Y, clamp) if not e.is_null)
+            * (2 ** k - 1)
+            for k in range(1, (T + 1).bit_length()))
+        assert grid_cost(T, d, Y, clamp) == expected
+
+
+def test_grid_cost_validates_like_build_grid():
+    for d, Y, clamp in [(0, 1.0, None), (2, 0.0, None), (2, math.inf, None),
+                        (2, 1.0, (1, 0))]:
+        with pytest.raises(ValueError):
+            build_grid(1, d, Y, clamp)
+        with pytest.raises(ValueError):
+            grid_cost(4, d, Y, clamp)
+
+
+def test_over_budget_run_builds_no_grid(monkeypatch):
+    # Unclamped at T = 2**16 - 1, grid 16 alone has over a million entries.
+    import saew.calibration
+
+    def no_grid(*args):
+        raise AssertionError("build_grid must not run over budget")
+
+    monkeypatch.setattr(saew.calibration, "build_grid", no_grid)
+    with pytest.raises(BudgetExceededError, match="budget 50000000"):
+        run_calibration(lambda n: (np.zeros((n, 10)), np.zeros(n)),
+                        T=2 ** 16 - 1, d=10, Y=2.0, delta=0.1)
+
+
 def _count_candidate_steps(monkeypatch):
-    # Candidates train in saew_fit_square, one wrapper step per fitted
-    # candidate and history sample.
+    # Candidates train in _fit_candidates, one wrapper step per non-null
+    # entry and history sample.
     import saew.calibration
 
     calls = [0]
+    fit = saew.calibration._fit_candidates
 
-    def counting(params, d, xs, ys):
-        calls[0] += len(params) * len(xs)
-        return saew_fit_square(params, d, xs, ys)
+    def counting(entries, d, delta_j, history_x, history_y):
+        fitted = sum(1 for e in entries if not e.is_null)
+        calls[0] += fitted * len(history_x)
+        return fit(entries, d, delta_j, history_x, history_y)
 
-    monkeypatch.setattr(saew.calibration, "saew_fit_square", counting)
+    monkeypatch.setattr(saew.calibration, "_fit_candidates", counting)
     return calls
 
 
@@ -442,6 +477,30 @@ def test_candidates_train_only_when_a_session_closes(monkeypatch):
         calibration_step(state, xs[t], float(ys[t]))
         closed = state.t == 2 ** state.j
         assert (calls[0] > before) == closed
+
+
+def test_grid_of_only_the_null_entry_predicts_zero(monkeypatch):
+    # The clamp (10, 10) leaves no alpha exponent below 2**9 for d=2 and
+    # Y=2: every grid is the null entry alone, and no bank is built.
+    import saew.calibration
+
+    def no_bank(*args):
+        raise AssertionError("a grid without candidates builds no bank")
+
+    monkeypatch.setattr(saew.calibration, "WrapperBank", no_bank)
+    assert grid_cost(200, 2, 2.0, (10, 10)) == 0
+    env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=5)
+    xs, ys = env.draw(200)
+    state = calibration_init(d=2, Y=2.0, delta=0.1, exponent_clamp=(10, 10))
+    for t in range(200):
+        prediction, _ = calibration_step(state, xs[t], float(ys[t]))
+        assert prediction == 0.0
+    assert state.j == 7
+    assert [(row.j, row.grid_size, row.best_candidate)
+            for row in state.session_rows] == [(j, 1, "null")
+                                               for j in range(7)]
+    assert state.candidates == [GridEntry(d0=0)]
+    assert calibration_estimator(state)(xs[0]) == 0.0
 
 
 def test_misspecified_gradient_bounds_raise_no_warning():

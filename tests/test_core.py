@@ -167,10 +167,15 @@ def _toy_env(seed: int) -> Environment:
         rng_y = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         return rng_x.normal(size=(n, 2)), rng_y.normal(size=n)
 
+    def blocks(n: int, block: int):
+        x, y = draw(n)
+        for start in range(0, n, block):
+            yield x[start:start + block], y[start:start + block]
+
     return Environment(
         dimension=2, loss="square", seed=seed,
         config={"loss": "square", "d": 2, "seed": seed},
-        theta_star_metrics=np.array([1.0, 0.0]), draw=draw)
+        theta_star_metrics=np.array([1.0, 0.0]), draw=draw, blocks=blocks)
 
 
 def test_environment_draw_is_deterministic():
@@ -193,7 +198,8 @@ def test_environment_draw_prefix_consistent():
 def test_environment_theta_star_shape_checked():
     with pytest.raises(ValueError):
         Environment(dimension=3, loss="square", seed=0, config={},
-                    theta_star_metrics=np.zeros(2), draw=lambda n: (None, None))
+                    theta_star_metrics=np.zeros(2), draw=lambda n: (None, None),
+                    blocks=lambda n, block: iter(()))
 
 
 # ============================================================

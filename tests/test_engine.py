@@ -23,7 +23,7 @@ from saew.bounds import (
     radius_bound,
     session_length_bound,
 )
-from saew.calibration import build_grid
+from saew.calibration import GridEntry, _fit_candidates, build_grid
 from saew.core import BALL_TOL, L1Ball, ProblemParams, ball_contains, l1_norm
 from saew.engine import (
     SNAPSHOT_VERSION,
@@ -31,7 +31,6 @@ from saew.engine import (
     WrapperBank,
     _next_session,
     saew_estimators,
-    saew_fit_square,
     saew_init,
     saew_restore,
     saew_snapshot,
@@ -45,7 +44,7 @@ from saew.losses import (
     pinball_subgrad,
     square_grad,
 )
-from saew.subroutine import RegretCertificate
+from saew.subroutine import OVER_B_WARNING, RegretCertificate
 
 
 # ============================================================
@@ -867,8 +866,23 @@ def test_snapshot_names_malformed_field(snapshot_doc, field, change):
 
 
 # ============================================================
-# Batched square-loss fit against independent wrapper runs
+# Square-loss bank fit against independent wrapper runs
 # ============================================================
+
+def _fit_square(params, d, xs, ys):
+    """Calibration's candidate fit: one bank row per parameter set, stepped
+    on ``square_grad`` over the history in stream order, without the
+    over-``B`` warning.  Returns each row's ``theta_tilde`` and final
+    session index."""
+    bank = WrapperBank(params, d,
+                       [f"candidate {r}" for r in range(len(params))])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
+                                RuntimeWarning)
+        for x, y in zip(xs, ys):
+            bank.step(square_grad(bank.prediction, x, y))
+    return bank.theta_tilde, bank.session
+
 
 def _replica_states(params, d, xs, ys, zero_steps=None):
     """One ``saew_step`` run per parameter set over the history; records
@@ -886,7 +900,7 @@ def _replica_states(params, d, xs, ys, zero_steps=None):
 
 
 def _assert_fit_matches_replicas(params, d, xs, ys, zero_steps=None):
-    theta_tilde, session = saew_fit_square(params, d, xs, ys)
+    theta_tilde, session = _fit_square(params, d, xs, ys)
     states = _replica_states(params, d, xs, ys, zero_steps)
     np.testing.assert_array_equal(
         theta_tilde, np.array([saew_estimators(s)[1] for s in states]))
@@ -964,11 +978,13 @@ def test_fit_square_matches_saew_step_on_underflowing_gradients():
 
 
 def test_fit_square_of_no_wrappers_or_no_history():
-    theta_tilde, session = saew_fit_square([], 2, np.zeros((3, 2)),
-                                           np.zeros(3))
-    assert theta_tilde.shape == (0, 2) and session.shape == (0,)
+    # Calibration fits no bank for a grid without non-null entries.
+    xs, ys = np.ones((3, 2)), np.ones(3)
+    assert _fit_candidates([], 2, 0.1, xs, ys).shape == (0, 2)
+    np.testing.assert_array_equal(
+        _fit_candidates([GridEntry(d0=0)], 2, 0.1, xs, ys), np.zeros((1, 2)))
     params = [ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)]
-    theta_tilde, session = saew_fit_square(params, 2, [], [])
+    theta_tilde, session = _fit_square(params, 2, [], [])
     np.testing.assert_array_equal(theta_tilde, np.zeros((1, 2)))
     np.testing.assert_array_equal(session, [0])
 
@@ -977,22 +993,18 @@ def test_fit_square_validation():
     p = ProblemParams(d0=2, alpha=1.0, U=1.0, B=1.0, delta=0.1)
     xs, ys = np.ones((4, 2)), np.ones(4)
     with pytest.raises(ValueError, match="d0"):
-        saew_fit_square([p], 1, xs[:, :1], ys)
+        _fit_square([p], 1, xs[:, :1], ys)
     with pytest.raises(ValueError, match="delta"):
-        saew_fit_square([p, dataclasses.replace(p, delta=0.2)], 2, xs, ys)
-    with pytest.raises(ValueError, match="shapes"):
-        saew_fit_square([p], 2, xs, ys[:3])
-    with pytest.raises(ValueError, match="shapes"):
-        saew_fit_square([p], 2, xs.reshape(2, 4), ys)
+        _fit_square([p, dataclasses.replace(p, delta=0.2)], 2, xs, ys)
     for bad in (np.nan, np.inf):
         x_bad = xs.copy()
         x_bad[2, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            saew_fit_square([p], 2, x_bad, ys)
+        with pytest.raises(ValueError, match="candidate 0: .* step 3 .*finite"):
+            _fit_square([p], 2, x_bad, ys)
         y_bad = ys.copy()
         y_bad[1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            saew_fit_square([p], 2, xs, y_bad)
+        with pytest.raises(ValueError, match="candidate 0: .* step 2 .*finite"):
+            _fit_square([p], 2, xs, y_bad)
 
 
 def test_fit_square_rejects_overflowing_gradients_like_saew_step():
@@ -1000,7 +1012,7 @@ def test_fit_square_rejects_overflowing_gradients_like_saew_step():
     xs, ys = np.full((2, 2), 1e200), np.ones(2)
     with pytest.raises(ValueError, match="finite"):
         with np.errstate(over="ignore"):
-            saew_fit_square([p], 2, xs, ys)
+            _fit_square([p], 2, xs, ys)
     with pytest.raises(ValueError, match="finite"):
         _replica_states([p], 2, xs, ys)
 
@@ -1026,10 +1038,14 @@ def test_fit_square_takes_a_subnormal_residual_like_saew_step():
 def test_fit_square_issues_no_warning_above_B():
     env = make_square_env(d=5, d0=1, noise_sd=0.2, seed=2)
     xs, ys = env.draw(200)
-    params = [ProblemParams(d0=1, alpha=30.0, U=1.0, B=0.01, delta=0.05)]
+    entries = [GridEntry(d0=1, alpha=30.0, U=1.0, B=0.01)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        saew_fit_square(params, 5, xs, ys)
+        filters = list(warnings.filters)
+        theta = _fit_candidates(entries, 5, 0.05, list(xs), ys.tolist())
+        assert warnings.filters == filters
+    params = [ProblemParams(d0=1, alpha=30.0, U=1.0, B=0.01, delta=0.05)]
+    np.testing.assert_array_equal(theta, _fit_square(params, 5, xs, ys)[0])
 
 
 @pytest.mark.parametrize("loss", ["square", "pinball"])
