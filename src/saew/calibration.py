@@ -273,14 +273,20 @@ def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
     return theta_matrix
 
 
-def _open_session(state: CalibrationState) -> None:
-    """Start session ``state.j``: its grid's candidates, fitted on the
-    whole history, and a fresh meta-aggregator."""
-    state.candidates = list(build_grid(state.j, state.d, state.Y,
-                                       state.exponent_clamp))
-    state.theta_matrix = _fit_candidates(
-        state.candidates, state.d, session_delta(state.delta, state.j),
-        state.history_x, state.history_y)
+def _fitted_grid(state: CalibrationState, j: int, history_x: list[np.ndarray],
+                 history_y: list[float]) -> tuple[list[GridEntry], np.ndarray]:
+    """Session ``j``'s candidates and their estimators fitted on the
+    history; ``state`` is only read."""
+    grid = list(build_grid(j, state.d, state.Y, state.exponent_clamp))
+    return grid, _fit_candidates(grid, state.d, session_delta(state.delta, j),
+                                 history_x, history_y)
+
+
+def _open_session(state: CalibrationState,
+                  grid: tuple[list[GridEntry], np.ndarray]) -> None:
+    """Start session ``state.j`` on its fitted ``grid`` (see
+    :func:`_fitted_grid`) with a fresh meta-aggregator."""
+    state.candidates, state.theta_matrix = grid
     m = len(state.candidates)
     state.log_weights = np.zeros(m)
     state.weight_snapshot_sum = np.zeros(m)
@@ -310,13 +316,14 @@ def calibration_init(d: int, Y: float, delta: float,
         meta_loss_sum=0.0, candidate_loss_sum=np.zeros(0),
         past_estimators=[], history_x=[], history_y=[], n_out_of_range=0,
         session_rows=[])
-    _open_session(state)
+    _open_session(state, _fitted_grid(state, 0, [], []))
     return state
 
 
-def _close_session(state: CalibrationState) -> None:
+def _close_session(state: CalibrationState,
+                   grid: tuple[list[GridEntry], np.ndarray]) -> None:
     """Roll over at ``t = 2**(j+1)``: record session ``j`` and open
-    session ``j + 1``."""
+    session ``j + 1`` on its fitted ``grid``."""
     steps = state.t - 2 ** state.j
     # Average meta predictor over the finished session.
     state.past_estimators.append(SessionPredictor(
@@ -333,7 +340,7 @@ def _close_session(state: CalibrationState) -> None:
         best_risk=float(state.candidate_loss_sum[best]) / steps,
     ))
     state.j += 1
-    _open_session(state)
+    _open_session(state, grid)
 
 
 def calibration_step(state: CalibrationState, x: np.ndarray, y: float
@@ -349,8 +356,9 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     ``n_out_of_range``.
 
     Raises:
-        ValueError: non-finite input, ``x`` of the wrong shape, or a
-            squared loss that overflows (state unchanged).
+        ValueError: non-finite input, ``x`` of the wrong shape, a squared
+            loss that overflows, or a candidate fit that fails at a
+            session's close (state unchanged).
     """
     x = np.asarray(x, float)
     if x.shape != (state.d,):
@@ -372,6 +380,12 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     except (OverflowError, FloatingPointError):
         raise ValueError(f"step {state.t}: the squared loss of y={y!r} "
                          "overflows") from None
+    # The next session is fitted before any field changes, so a fit that
+    # fails leaves the state as it was.
+    closes = state.t + 1 == 2 ** (state.j + 1)
+    if closes:
+        grid = _fitted_grid(state, state.j + 1, [*state.history_x, x],
+                            [*state.history_y, y])
 
     state.weight_snapshot_sum += weights
     if abs(y) > state.Y:
@@ -385,8 +399,8 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     state.history_y.append(y)
 
     state.t += 1
-    if state.t == 2 ** (state.j + 1):
-        _close_session(state)
+    if closes:
+        _close_session(state, grid)
     return prediction, state
 
 

@@ -108,7 +108,7 @@ class ProblemParams:
         object.__setattr__(self, "delta", delta)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)  # hashed by identity
 class Environment:
     """A seeded i.i.d. stream of ``(x, y)`` samples with a known loss family.
 
@@ -126,6 +126,8 @@ class Environment:
         config: round-trippable description of the environment
             (keys ``loss, d, d0, noise_sd, alpha_q, seed``).
         theta_star_metrics: risk minimizer, for metrics only.
+        sample: ``sample(rng_x, rng_e, n)``, the next ``n`` samples ``(X, y)``
+            of two generators; ``draw``, ``blocks`` and holdouts read it.
         draw: ``draw(n)`` returns the first ``n`` stream samples as
             ``(X, y)`` with ``X`` of shape ``(n, dimension)``; deterministic,
             and a prefix of every longer draw, bit for bit.
@@ -142,6 +144,8 @@ class Environment:
     seed: int
     config: Mapping[str, Any]
     theta_star_metrics: np.ndarray
+    sample: Callable[[np.random.Generator, np.random.Generator, int],
+                     tuple[np.ndarray, np.ndarray]] = dataclasses.field(repr=False)
     draw: Callable[[int], tuple[np.ndarray, np.ndarray]] = dataclasses.field(repr=False)
     blocks: Callable[[int, int], Iterator[tuple[np.ndarray, np.ndarray]]] = (
         dataclasses.field(repr=False))

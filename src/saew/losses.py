@@ -14,7 +14,7 @@ risk bounds, where the covariate sup-norm bound must hold almost surely
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import weakref
 from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
@@ -27,11 +27,9 @@ from saew.core import DenseVector, Environment
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Monte-Carlo holdouts are ~17 MB each at d ~ 20; keep only a few alive.
-# An entry is (xt, y, loss_star, n): see _holdout.
-_HOLDOUT_CACHE: OrderedDict[
-    tuple, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = OrderedDict()
-_HOLDOUT_CACHE_MAX = 4
+# Each environment's Monte-Carlo holdouts (~17 MB each at d ~ 20) by size,
+# dropped with it; an entry is (xt, y, loss_star, n): see _holdout.
+_HOLDOUT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _HOLDOUT_SIZE = 10 ** 5
 # Holdout columns per pass of the Monte-Carlo oracle (a chunk's buffers
 # stay in L2), and holdout rows drawn at a time when it is built.  A
@@ -246,7 +244,7 @@ def _one_or_many(risks: Callable[[np.ndarray], np.ndarray]
 def _stream(seed: int, sample: Callable[
         [np.random.Generator, np.random.Generator, int],
         tuple[np.ndarray, np.ndarray]]) -> dict[str, Callable]:
-    """A stream's ``draw`` and ``blocks``, both read from one ``sample``.
+    """A stream's ``sample``, and its ``draw`` and ``blocks`` read from it.
 
     ``sample(rng_x, rng_e, n)`` takes the next ``n`` rows' covariates from
     ``rng_x`` and their noise from ``rng_e``, and computes each response
@@ -270,7 +268,7 @@ def _stream(seed: int, sample: Callable[
         for start in range(0, n, block):
             yield sample(rng_x, rng_e, min(block, n - start))
 
-    return {"draw": draw, "blocks": blocks}
+    return {"sample": sample, "draw": draw, "blocks": blocks}
 
 
 def _sparse_unit_l1_parameter(d: int, d0: int,
@@ -457,53 +455,36 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
     """Fixed seeded holdout of a quantile environment for Monte-Carlo risks.
 
     Returns ``(xt, y, loss_star, n)``.  The ``n`` samples are the columns:
-    ``xt`` is the ``(d + 1, n_pad)`` design transposed (intercept row
-    first), ``y`` the responses and ``loss_star`` the pinball losses of
-    ``theta_star``, where ``n_pad`` is ``n`` rounded up to a multiple of
-    16 and the pad columns are zero.  The samples have the bits of one
-    ``(n, d)`` draw with ``y = x @ theta_base + noise``, though they are
-    drawn ``_HOLDOUT_CHUNK`` rows at a time.  The arrays are cached per
-    environment config and are read-only.
+    ``xt`` is the ``(dimension, n_pad)`` design transposed, ``y`` the
+    responses and ``loss_star`` the pinball losses of ``theta_star``,
+    where ``n_pad`` is ``n`` rounded up to a multiple of 16 and the pad
+    columns are zero.  ``env.sample`` draws the samples on generators
+    ``[seed, 3]`` and ``[seed, 4]``, ``_HOLDOUT_CHUNK`` rows at a time,
+    with the bits of one ``n``-row call.  The arrays are read-only and
+    cached while the environment lives.
     """
     if env.loss != "pinball":
         raise ValueError(f"no Monte-Carlo holdout for {env.loss!r} loss")
-    cfg = env.config
-    key = (cfg["d"], cfg["d0"], cfg["noise_sd"], cfg["alpha_q"],
-           cfg["seed"], n)
-    if key in _HOLDOUT_CACHE:
-        _HOLDOUT_CACHE.move_to_end(key)
-        return _HOLDOUT_CACHE[key]
-    seed = int(cfg["seed"])
-    d = int(cfg["d"])
-    noise_sd = float(cfg["noise_sd"])
-    theta_base = env.theta_star_metrics[1:]
-    rng_x = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    rng_e = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+    cached = _HOLDOUT_CACHE.setdefault(env, {})
+    if n in cached:
+        return cached[n]
+    rng_x = np.random.default_rng(np.random.SeedSequence([env.seed, 3]))
+    rng_e = np.random.default_rng(np.random.SeedSequence([env.seed, 4]))
     n_pad = -(-n // _HOLDOUT_PAD) * _HOLDOUT_PAD
-    xt = np.zeros((d + 1, n_pad))
-    xt[0, :n] = 1.0
+    xt = np.zeros((env.dimension, n_pad))
     y = np.zeros(n_pad)
     for c0 in range(0, n, _HOLDOUT_CHUNK):
-        x = rng_x.standard_normal((min(_HOLDOUT_CHUNK, n - c0), d))
-        # One matrix-vector product per block, as over all n rows at once;
-        # numpy takes a one-row product as a dot, which rounds
-        # differently, so a one-row block is doubled.
-        product = (x @ theta_base if len(x) > 1
-                   else (np.concatenate((x, x)) @ theta_base)[:1])
-        y[c0:c0 + len(x)] = product + noise_sd * rng_e.standard_normal(
-            len(x))
-        xt[1:, c0:c0 + len(x)] = x.T
+        c1 = min(c0 + _HOLDOUT_CHUNK, n)
+        x, y[c0:c1] = env.sample(rng_x, rng_e, c1 - c0)
+        xt[:, c0:c1] = x.T
     # theta_star's losses are taken as every scored vector's are (see
     # true_excess_risk), so theta_star itself scores exactly 0.
     loss_star = np.empty(n_pad)
-    _losses(env.theta_star_metrics[None], xt, y, float(cfg["alpha_q"]),
+    _losses(env.theta_star_metrics[None], xt, y, float(env.config["alpha_q"]),
             out=loss_star[None])
-    entry = (xt, y, loss_star, n)
+    entry = cached[n] = (xt, y, loss_star, n)
     for array in entry[:3]:
         array.flags.writeable = False
-    _HOLDOUT_CACHE[key] = entry
-    while len(_HOLDOUT_CACHE) > _HOLDOUT_CACHE_MAX:
-        _HOLDOUT_CACHE.popitem(last=False)
     return entry
 
 

@@ -1,5 +1,6 @@
 """Tests for the parameter-free calibration layer."""
 
+import copy
 import dataclasses
 import math
 import warnings
@@ -237,6 +238,38 @@ def test_step_rejects_an_overflowing_loss_state_unchanged(y):
             len(state.history_y)) == (before.t, before.meta_loss_sum,
                                       before.n_out_of_range,
                                       len(before.history_y))
+
+
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold equal values, arrays bit for bit,
+    through lists, tuples and dataclasses."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(_same, a, b)))
+    return a == b
+
+
+def test_a_close_whose_fit_fails_leaves_the_state_unchanged():
+    # The third step closes session 1 and fits grid 2 on the history,
+    # where the second sample makes candidate 1's gradient overflow.
+    state = calibration_init(2, 2.0, 0.1, exponent_clamp=(-1, 1))
+    for x in ([1.0, 0.5], [1e200, 0.0]):
+        calibration_step(state, np.array(x), 0.3)
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError,
+                       match="^candidate 1: the gradient at step 2 "), \
+            np.errstate(over="ignore"):
+        calibration_step(state, np.array([1.0, 0.5]), 0.3)
+    for field in dataclasses.fields(CalibrationState):
+        assert _same(getattr(state, field.name),
+                     getattr(before, field.name)), field.name
 
 
 def test_meta_regret_within_exp_concave_bound():

@@ -161,11 +161,14 @@ def test_problem_params_rejects_invalid(kwargs):
 # ============================================================
 
 def _toy_env(seed: int) -> Environment:
+    def sample(rng_x, rng_y, n: int):
+        return rng_x.normal(size=(n, 2)), rng_y.normal(size=n)
+
     def draw(n: int):
         # Separate child streams keep the prefix stable as n grows.
-        rng_x = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        rng_y = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        return rng_x.normal(size=(n, 2)), rng_y.normal(size=n)
+        return sample(np.random.default_rng(np.random.SeedSequence([seed, 0])),
+                      np.random.default_rng(np.random.SeedSequence([seed, 1])),
+                      n)
 
     def blocks(n: int, block: int):
         x, y = draw(n)
@@ -175,7 +178,8 @@ def _toy_env(seed: int) -> Environment:
     return Environment(
         dimension=2, loss="square", seed=seed,
         config={"loss": "square", "d": 2, "seed": seed},
-        theta_star_metrics=np.array([1.0, 0.0]), draw=draw, blocks=blocks)
+        theta_star_metrics=np.array([1.0, 0.0]), sample=sample, draw=draw,
+        blocks=blocks)
 
 
 def test_environment_draw_is_deterministic():
@@ -198,7 +202,9 @@ def test_environment_draw_prefix_consistent():
 def test_environment_theta_star_shape_checked():
     with pytest.raises(ValueError):
         Environment(dimension=3, loss="square", seed=0, config={},
-                    theta_star_metrics=np.zeros(2), draw=lambda n: (None, None),
+                    theta_star_metrics=np.zeros(2),
+                    sample=lambda rng_x, rng_e, n: (None, None),
+                    draw=lambda n: (None, None),
                     blocks=lambda n, block: iter(()))
 
 

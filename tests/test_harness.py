@@ -251,6 +251,31 @@ def test_quantile_mc_risk_reports_standard_errors(tmp_path):
     assert all(row[se_col] > 0.0 for row in record.rows)
 
 
+@pytest.mark.parametrize("n_seeds", [5, 8])
+def test_mc_risk_run_builds_one_holdout_per_seed(tmp_path, monkeypatch,
+                                                 n_seeds):
+    # A holdout is drawn from a fresh pair of generators: a spy on each
+    # environment's sample counts the pairs, that is, the builds.
+    build = saew.harness.build_environment
+    builds = []
+
+    def spied(config, seed):
+        env = build(config, seed)
+
+        def sample(rng_x, rng_e, n):
+            if not any(rng_x is seen for _, seen in builds):
+                builds.append((seed, rng_x))
+            return env.sample(rng_x, rng_e, n)
+        return dataclasses.replace(env, sample=sample)
+
+    monkeypatch.setattr(saew.harness, "build_environment", spied)
+    seeds = tuple(range(1, n_seeds + 1))
+    cfg = _config(tmp_path, env="quantile", d=20, d0=3, T=1024, seeds=seeds,
+                  mc_risk=True, U=2.0)
+    run_experiment(cfg, workers=1)
+    assert sorted(seed for seed, _ in builds) == list(seeds)
+
+
 def _paired_risk(env):
     """``theta -> (risk, standard error)``: the paired Monte-Carlo
     estimate on the environment's holdout, computed from scratch on the

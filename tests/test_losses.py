@@ -1,6 +1,8 @@
 """Tests for loss families, environments, and risk oracles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -555,17 +557,13 @@ def test_holdout_chunk_products_equal_the_full_product(n):
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5, 1])
 def test_holdout_equals_one_whole_draw(n):
     # The holdout is drawn a chunk of rows at a time, straight into its
-    # transposed, padded layout; it has the bits of one (n, d) draw with
-    # one matrix-vector product for y.  At n = 8193 the last chunk has a
-    # single row, whose product (a dot, unless doubled) rounds differently
-    # for this environment.
+    # transposed, padded layout; it has the bits of one n-row call of the
+    # environment's sample on fresh holdout generators.  At n = 8193 the
+    # last chunk has a single row.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=14)
-    rng_x = np.random.default_rng(np.random.SeedSequence([14, 3]))
-    rng_e = np.random.default_rng(np.random.SeedSequence([14, 4]))
-    x = rng_x.standard_normal((n, 20))
-    noise = 0.2 * rng_e.standard_normal(n)
-    y = x @ env.theta_star_metrics[1:] + noise
-    x = np.hstack([np.ones((n, 1)), x])
+    x, y = env.sample(
+        np.random.default_rng(np.random.SeedSequence([14, 3])),
+        np.random.default_rng(np.random.SeedSequence([14, 4])), n)
     star = env.theta_star_metrics
     u = y - (np.stack((star, star)) @ x.T)[0]
     loss_star = u * (0.3 - (u < 0.0))
@@ -646,6 +644,17 @@ def test_true_excess_risk_reuses_cached_star_losses(monkeypatch):
     assert len(built) == 2
     assert built[0][2] is built[1][2]
     assert not built[0][2].flags.writeable
+
+
+def test_holdout_is_dropped_with_its_environment():
+    env = make_quantile_env(d=3, d0=1, alpha_q=0.6, noise_sd=0.3, seed=16)
+    holdout = _holdout(env, 40)
+    assert _holdout(env, 40) is holdout
+    assert _holdout(env, 24) is not holdout
+    refs = [weakref.ref(env)] + [weakref.ref(array) for array in holdout[:3]]
+    del env, holdout
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_holdout_is_quantile_only():
@@ -731,6 +740,18 @@ def test_covariate_blocks_concatenate_to_the_full_draw(stream, d):
             for joined, full in zip(map(np.concatenate, zip(*parts)), (x, y)):
                 assert joined.shape == full.shape
                 assert joined.tobytes() == full.tobytes(), (T, block)
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+def test_draw_is_sample_on_the_stream_generators(stream):
+    env = _STREAMS[stream](20)
+    for n in (1, 300):
+        x, y = env.draw(n)
+        rx, ry = env.sample(
+            np.random.default_rng(np.random.SeedSequence([env.seed, 1])),
+            np.random.default_rng(np.random.SeedSequence([env.seed, 2])), n)
+        assert x.shape == (n, env.dimension)
+        assert x.tobytes() == rx.tobytes() and y.tobytes() == ry.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 7, 200])
