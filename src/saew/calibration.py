@@ -38,7 +38,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from saew.core import ProblemParams
 from saew.engine import WrapperBank
 from saew.losses import square_grad
 from saew.subroutine import OVER_B_WARNING
@@ -260,10 +259,11 @@ def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
     rows = [row for row, entry in enumerate(entries) if not entry.is_null]
     if not rows:
         return theta_matrix
-    params = [ProblemParams(d0=min(e.d0, d), alpha=e.alpha, U=e.U, B=e.B,
-                            delta=delta_j)
-              for e in entries if not e.is_null]
-    bank = WrapperBank(params, d, [f"candidate {r}" for r in rows])
+    d0, alpha, U, B = np.array([(entries[r].d0, entries[r].alpha,
+                                 entries[r].U, entries[r].B)
+                                for r in rows]).T
+    bank = WrapperBank(np.minimum(d0, d), alpha, U, B, delta_j, d,
+                       [f"candidate {r}" for r in rows])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
                                 RuntimeWarning)

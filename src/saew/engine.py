@@ -136,17 +136,17 @@ class SaewState:
         return self.session_starts[-1]
 
 
-def _session_radius(params: ProblemParams, i: int) -> float:
+def _session_radius(U: float, i: int) -> float:
     """Ball radius of session ``i``: ``U * 2**(-i/2)``."""
-    return params.U * 2.0 ** (-i / 2.0)
+    return U * 2.0 ** (-i / 2.0)
 
 
-def _next_session(params: ProblemParams, i: int, eps: float) -> int:
+def _next_session(U: float, i: int, eps: float) -> int:
     """The session that closing session ``i`` at radius ``eps`` opens: the
     next, then one more while ``0 < eps <=`` the next one's radius (so
     ``eps = 0``, from ``d0 = 0`` or an underflow, closes just one)."""
     i += 1
-    while 0.0 < eps <= _session_radius(params, i + 1):
+    while 0.0 < eps <= _session_radius(U, i + 1):
         i += 1
     return i
 
@@ -237,10 +237,10 @@ def saew_step(state: SaewState, gradient_oracle: GradientOracle) -> SaewState:
 
     # Close once eps_t is at most the next session's radius; the sessions
     # of a cascade start at t and share the truncated average as center.
-    if state.eps_t <= _session_radius(p, state.session + 1):
-        i = _next_session(p, state.session, state.eps_t)
+    if state.eps_t <= _session_radius(p.U, state.session + 1):
+        i = _next_session(p.U, state.session, state.eps_t)
         state.session_starts += [state.t] * (i - state.session)
-        ball = L1Ball(truncate_top(theta_bar, p.d0), _session_radius(p, i))
+        ball = L1Ball(truncate_top(theta_bar, p.d0), _session_radius(p.U, i))
         state.optimizer = eg_init(ball, p.B)
         state.theta_bar_sum = np.zeros(ball.dimension)
     return state
@@ -260,68 +260,98 @@ def saew_estimators(state: SaewState) -> tuple[DenseVector, DenseVector]:
 # Wrappers as rows
 # ============================================================
 
-def _eps_factor(params: ProblemParams, i: int) -> float:
+def _eps_factor(d0: int, U: float, i: int) -> float:
     """``radius_bound``'s ``2 * d0 * U * 2**(-i/2)``, multiplied in its
     order: ``eps_t = 2 * sqrt(factor * err_t / (alpha * window))``."""
-    return 2.0 * params.d0 * params.U * 2.0 ** (-i / 2.0)
+    return 2.0 * d0 * U * 2.0 ** (-i / 2.0)
+
+
+Column = Sequence[float] | np.ndarray
 
 
 class WrapperBank:
     """Acceleration wrappers, one per row of arrays, fed one gradient row
     per wrapper at each step.
 
-    Row ``r`` starts as ``saew_init(params[r], d)``.  Before a step,
-    ``prediction[r]`` is the point the wrapper's oracle is queried at; the
-    caller hands :meth:`step` the gradient rows there (the step binds a new
-    ``prediction``; ``eg``, the subroutines' :class:`EGBank`, counts the
-    steps and holds ``B``).  After it, ``theta_tilde``, ``eps``,
-    ``session``, ``err``, ``a_prime`` and ``b_prime`` hold each row's
-    ``theta_tilde``, ``eps_t``, ``session``, ``err_t``, ``a_prime_t`` and
-    ``b_prime_t``.  Every expression repeats the one :func:`saew_step`,
-    ``EGState.update`` (through :class:`EGBank`) and the bound evaluators
-    apply to a single wrapper, in the same order, so each row has its
-    wrapper's bits.  ``a'`` and ``b'`` combine each row's session term
-    ``-log(delta_i)`` with the window term of :func:`a_prime` and
-    :func:`b_prime`, tabulated up to the steps taken.  Only a row that
-    closes a session takes a per-row Python step.
+    Row ``r`` starts as ``saew_init(ProblemParams(d0[r], alpha[r], U[r],
+    B[r], delta), d)``; the bank keeps the constants as the columns
+    ``d0``, ``alpha`` and ``U`` (``eg.B`` holds ``B``) and the scalar
+    ``delta``.  Before a step, ``prediction[r]`` is the point the
+    wrapper's oracle is queried at; the caller hands :meth:`step` the
+    gradient rows there (the step binds a new ``prediction``; ``eg``, the
+    subroutines' :class:`EGBank`, counts the steps).  After it,
+    ``theta_tilde``, ``eps``, ``session``, ``err``, ``a_prime`` and
+    ``b_prime`` hold each row's ``theta_tilde``, ``eps_t``, ``session``,
+    ``err_t``, ``a_prime_t`` and ``b_prime_t``.  Every expression repeats
+    the one :func:`saew_step`, ``EGState.update`` (through
+    :class:`EGBank`) and the bound evaluators apply to a single wrapper,
+    in the same order, so each row has its wrapper's bits.  ``a'`` and
+    ``b'`` combine each row's session term ``-log(delta_i)`` with the
+    window term of :func:`a_prime` and :func:`b_prime`, tabulated up to
+    the steps taken.  Only a row that closes a session takes a per-row
+    Python step.
 
     Warns:
         UserWarning: at construction, once for each row with ``d0 == 0``,
             as :func:`saew_init` does.
     """
 
-    def __init__(self, params: Sequence[ProblemParams], d: int,
-                 labels: Sequence[str]):
-        """Fresh wrappers, at least one, in dimension ``d``; ``labels``
+    def __init__(self, d0: Column, alpha: Column, U: Column, B: Column,
+                 delta: float, d: int, labels: Sequence[str]):
+        """Fresh wrappers, at least one, in dimension ``d``: one per entry
+        of the columns ``d0``, ``alpha``, ``U``, ``B`` and ``labels``, which
         name the rows in error messages.
 
         Raises:
-            ValueError: ``d < 1``, some ``d0 > d``, or mixed ``delta``.
+            ValueError: ``d < 1``, no rows, columns of unequal lengths, or
+                a row against :class:`ProblemParams`'s rules or with
+                ``d0 > d``; the message names the first such row's label.
         """
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        for p in params:
-            if p.d0 > d:
-                raise ValueError(f"d0 must be <= d, got d0={p.d0}, d={d}")
-        if len({p.delta for p in params}) > 1:
-            raise ValueError("all wrappers must share one delta")
-        for p in params:
-            if p.d0 == 0:
-                warnings.warn(_D0_ZERO_WARNING, UserWarning)
-        n = len(params)
-        self.params = params
-        self.delta = params[0].delta
+        d0 = np.asarray(d0)
+        # Copies: the bank keeps alpha and U, and the caller keeps its own.
+        columns = {"d0": d0, "alpha": np.array(alpha, float),
+                   "U": np.array(U, float), "B": np.array(B, float)}
+        n = len(labels)
+        if any(c.shape != (n,) for c in columns.values()):
+            lengths = [n, *(c.size for c in columns.values())]
+            r = min(lengths)
+            raise ValueError(
+                f"{labels[r] if r < n else f'row {r}'}: the columns "
+                f"labels, {', '.join(columns)} must have one length, got "
+                f"{', '.join(map(str, lengths))}")
+        if n == 0:
+            raise ValueError("a wrapper bank needs at least one row")
+        # ProblemParams's rules, each a mask over the rows.
+        rules = [(~((d0 >= 0) & (d0 == np.floor(d0))), "d0",
+                  "be a nonnegative integer"),
+                 (d0 > d, "d0", f"be <= d={d}")]
+        rules += [(~(np.isfinite(columns[name]) & (columns[name] > 0.0)),
+                   name, "be finite and > 0") for name in ("alpha", "U", "B")]
+        rules.append((np.full(n, not 0.0 < delta < 1.0), "delta",
+                      "lie in (0, 1)"))
+        broken = np.logical_or.reduce([mask for mask, _, _ in rules])
+        if np.count_nonzero(broken):
+            r = int(np.flatnonzero(broken)[0])
+            _, name, rule = next(rule for rule in rules if rule[0][r])
+            value = delta if name == "delta" else columns[name][r].item()
+            raise ValueError(f"{labels[r]}: {name} must {rule}, "
+                             f"got {value!r}")
+        for _ in range(np.count_nonzero(d0 == 0)):
+            warnings.warn(_D0_ZERO_WARNING, UserWarning)
+        self.d0 = d0.astype(int)
+        self.alpha, self.U = columns["alpha"], columns["U"]
+        self.delta = float(delta)
         self.certificate = eg_certificate(d)
-        self.alpha = np.array([p.alpha for p in params])
-        self.eg = EGBank(np.zeros((n, d)), [p.U for p in params],
-                         [p.B for p in params], labels)
+        self.eg = EGBank(np.zeros((n, d)), self.U, columns["B"], labels)
         self.session = np.zeros(n, dtype=int)
         # Steps taken in the current session, the window length.
         self.window = np.zeros(n, dtype=int)
-        self.next_radius = np.array([_session_radius(p, 1) for p in params])
-        self.eps_factor = np.array([_eps_factor(p, 0) for p in params])
-        self.eps_min = np.array([p.U for p in params])
-        self.eps = self.eps_min.copy()
+        self.next_radius = _session_radius(self.U, 1)
+        self.eps_factor = _eps_factor(self.d0, self.U, 0)
+        self.eps_min = self.U.copy()
+        self.eps = self.U.copy()
         self.err = np.zeros(n)
         self.a_prime = np.zeros(n)
         self.b_prime = np.zeros(n)
@@ -379,16 +409,16 @@ class WrapperBank:
 
     def _close(self, r: int, eps: float) -> None:
         """Close row ``r``'s session, cascade included."""
-        p = self.params[r]
+        d0, U = int(self.d0[r]), float(self.U[r])
         center = truncate_top(self.theta_bar_sum[r] / int(self.window[r]),
-                              p.d0)
-        i = _next_session(p, int(self.session[r]), eps)
+                              d0)
+        i = _next_session(U, int(self.session[r]), eps)
         self.session[r] = i
         self.neg_log_delta[r] = -math.log(delta_i(self.delta, i + 1))
         self.window[r] = 0
-        self.next_radius[r] = _session_radius(p, i + 1)
-        self.eps_factor[r] = _eps_factor(p, i)
-        self.eg.reset(r, center, _session_radius(p, i))
+        self.next_radius[r] = _session_radius(U, i + 1)
+        self.eps_factor[r] = _eps_factor(d0, U, i)
+        self.eg.reset(r, center, _session_radius(U, i))
         self.theta_bar_sum[r] = 0.0
 
 
@@ -470,7 +500,7 @@ def saew_restore(doc: dict) -> SaewState:
     b_hat = _read(doc, "optimizer.b_hat", **nonnegative)
     optimizer = EGState(
         ball=L1Ball(_read(doc, "optimizer.center", **vector),
-                    _session_radius(params, len(session_starts) - 1)),
+                    _session_radius(params.U, len(session_starts) - 1)),
         B=params.B,
         grad_sum=_read(doc, "optimizer.grad_sum", **vector),
         # The sum of squared sup-norms includes the largest one squared.

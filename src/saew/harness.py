@@ -36,7 +36,6 @@ from saew.calibration import run_calibration
 from saew.core import (
     BASE_COLUMNS,
     Environment,
-    ProblemParams,
     RunRecord,
     config_hash,
     write_table,
@@ -158,8 +157,9 @@ class ExperimentConfig:
         if not (1 <= self.d0 <= self.d):
             raise ConfigError("d0", f"must satisfy 1 <= d0 <= d, "
                                     f"got {self.d0}")
-        if self.noise_sd < 0.0:
-            raise ConfigError("noise_sd", f"must be >= 0, got {self.noise_sd}")
+        if not (0.0 <= self.noise_sd < math.inf):
+            raise ConfigError("noise_sd", f"must be finite and >= 0, "
+                                          f"got {self.noise_sd}")
         if self.T < 1:
             raise ConfigError("T", f"must be >= 1, got {self.T}")
         if not self.seeds:
@@ -172,11 +172,12 @@ class ExperimentConfig:
         if not (0.0 < self.alpha_q < 1.0):
             raise ConfigError("alpha_q", f"must lie in (0, 1), "
                                          f"got {self.alpha_q}")
-        if self.x_bound <= 0.0:
-            raise ConfigError("x_bound", f"must be > 0, got {self.x_bound}")
-        if self.noise_bound_sds <= 0.0:
-            raise ConfigError("noise_bound_sds",
-                              f"must be > 0, got {self.noise_bound_sds}")
+        if not (0.0 < self.x_bound < math.inf):
+            raise ConfigError("x_bound", f"must be finite and > 0, "
+                                         f"got {self.x_bound}")
+        if not (0.0 < self.noise_bound_sds < math.inf):
+            raise ConfigError("noise_bound_sds", f"must be finite and > 0, "
+                                                 f"got {self.noise_bound_sds}")
         if self.saew_d0 < -1:
             raise ConfigError("saew_d0", f"must be -1 (auto) or >= 0, "
                                          f"got {self.saew_d0}")
@@ -192,15 +193,14 @@ class ExperimentConfig:
             raise ConfigError("delta", f"must lie in (0, 1), "
                                        f"got {self.delta}")
         if self.algorithm == "rda":
-            if self.rda_gamma <= 0.0:
-                raise ConfigError("rda_gamma",
-                                  f"must be > 0, got {self.rda_gamma}")
-            if self.rda_rho < 0.0:
-                raise ConfigError("rda_rho",
-                                  f"must be >= 0, got {self.rda_rho}")
-            if self.rda_lambda < 0.0:
-                raise ConfigError("rda_lambda",
-                                  f"must be >= 0, got {self.rda_lambda}")
+            if not (0.0 < self.rda_gamma < math.inf):
+                raise ConfigError("rda_gamma", f"must be finite and > 0, "
+                                               f"got {self.rda_gamma}")
+            for key in ("rda_rho", "rda_lambda"):
+                value = getattr(self, key)
+                if not (0.0 <= value < math.inf):
+                    raise ConfigError(key, f"must be finite and >= 0, "
+                                           f"got {value}")
         if self.mc_risk and self.env != "quantile":
             raise ConfigError("mc_risk",
                               "only quantile runs use Monte-Carlo risks")
@@ -509,10 +509,11 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
     """
     labels = [f"seed {seed}" for seed in seeds]
     if config.algorithm == "saew":
-        params = ProblemParams(d0=config.wrapper_d0(), alpha=config.alpha,
-                               U=config.U, B=config.B, delta=config.delta)
-        bank = WrapperBank([params] * len(seeds), d, labels)
-        l2_scale = 2.0 * math.sqrt(2.0 * max(params.d0, 1))
+        n, d0 = len(seeds), config.wrapper_d0()
+        bank = WrapperBank(np.full(n, d0), np.full(n, config.alpha),
+                           np.full(n, config.U), np.full(n, config.B),
+                           config.delta, d, labels)
+        l2_scale = 2.0 * math.sqrt(2.0 * max(d0, 1))
 
         def step(t, oracle):
             theta_hat = bank.prediction

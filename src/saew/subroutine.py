@@ -220,11 +220,22 @@ class EGBank:
 
     def __init__(self, center: np.ndarray, radius: np.ndarray,
                  B: np.ndarray, labels: Sequence[str]):
+        """Fresh forecasters, one per row of the ``(N, d)`` ``center``.
+
+        Raises:
+            ValueError: ``radius``, ``B`` or ``labels`` without one entry
+                per row.
+        """
         self.center = np.array(center, float)
         n, d = self.center.shape
         self.radius = np.array(radius, float)
         self.B = np.array(B, float)
         self.labels = list(labels)
+        if not (self.radius.shape == self.B.shape == (n,)
+                and len(self.labels) == n):
+            raise ValueError(
+                f"{n} forecasters need {n} radii, B values and labels, got "
+                f"{self.radius.size}, {self.B.size} and {len(self.labels)}")
         self.root_log_2d = math.sqrt(math.log(2 * d))
         self.grad_sum = np.zeros((n, d))
         self.v2 = np.zeros(n)

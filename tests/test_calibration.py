@@ -512,6 +512,33 @@ def test_candidates_train_only_when_a_session_closes(monkeypatch):
         assert (calls[0] > before) == closed
 
 
+def test_candidate_fits_build_no_problem_params(monkeypatch):
+    # The fits hand the grid's columns to one bank per boundary: no
+    # ProblemParams is built, and every non-null candidate is a bank row.
+    import saew.calibration
+
+    built, rows = [], []
+
+    def counted(self):
+        built.append(self)
+
+    class CountingBank(saew.calibration.WrapperBank):
+        def __init__(self, d0, *args):
+            rows.append(len(d0))
+            super().__init__(d0, *args)
+
+    monkeypatch.setattr(ProblemParams, "__post_init__", counted)
+    monkeypatch.setattr(saew.calibration, "WrapperBank", CountingBank)
+    d, T, clamp = 10, 32, (-2, 2)
+    env = make_square_env(d=d, d0=2, noise_sd=0.1, seed=1)
+    run_calibration(env.draw, T=T, d=d, Y=2.0, delta=0.05,
+                    exponent_clamp=clamp)
+    assert built == []
+    assert rows == [len(build_grid(j, d, 2.0, clamp)) - 1
+                    for j in range(6)]
+    assert sum(rows) == 3046
+
+
 def test_grid_of_only_the_null_entry_predicts_zero(monkeypatch):
     # The clamp (10, 10) leaves no alpha exponent below 2**9 for d=2 and
     # Y=2: every grid is the null entry alone, and no bank is built.

@@ -391,11 +391,10 @@ def test_degenerate_d0_closes_one_session_per_step():
 
 
 def test_next_session_cascades_while_the_next_radius_admits_eps():
-    params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)
-    # Radii 2**(-i/2): 0.71, 0.5, 0.35, 0.25 for sessions 1-4.
-    assert _next_session(params, 0, 0.3) == 3
-    assert _next_session(params, 0, 0.6) == 1
-    assert _next_session(params, 2, 0.3) == 3
+    # U = 1: radii 2**(-i/2) are 0.71, 0.5, 0.35, 0.25 for sessions 1-4.
+    assert _next_session(1.0, 0, 0.3) == 3
+    assert _next_session(1.0, 0, 0.6) == 1
+    assert _next_session(1.0, 2, 0.3) == 3
 
 
 _UNDERFLOW_PROBE = """
@@ -410,7 +409,8 @@ warnings.simplefilter("error")
 params = ProblemParams(d0=1, alpha=1e300, U=1e-300, B=1e-10, delta=0.05)
 grad = np.array([1e-11, 0.0])
 state = saew_init(params, 2)
-bank = WrapperBank([params], 2, ["a"])
+bank = WrapperBank([params.d0], [params.alpha], [params.U], [params.B],
+                   params.delta, 2, ["a"])
 sessions = []
 for _ in range(400):
     saew_step(state, lambda theta: grad)
@@ -869,12 +869,20 @@ def test_snapshot_names_malformed_field(snapshot_doc, field, change):
 # Square-loss bank fit against independent wrapper runs
 # ============================================================
 
+def _columns(params):
+    """``WrapperBank``'s columns ``d0, alpha, U, B`` and its ``delta`` for
+    one row per parameter set (all of one ``delta``)."""
+    (delta,) = {p.delta for p in params}
+    return (*([getattr(p, name) for p in params]
+              for name in ("d0", "alpha", "U", "B")), delta)
+
+
 def _fit_square(params, d, xs, ys):
     """Calibration's candidate fit: one bank row per parameter set, stepped
     on ``square_grad`` over the history in stream order, without the
     over-``B`` warning.  Returns each row's ``theta_tilde`` and final
     session index."""
-    bank = WrapperBank(params, d,
+    bank = WrapperBank(*_columns(params), d,
                        [f"candidate {r}" for r in range(len(params))])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
@@ -994,8 +1002,6 @@ def test_fit_square_validation():
     xs, ys = np.ones((4, 2)), np.ones(4)
     with pytest.raises(ValueError, match="d0"):
         _fit_square([p], 1, xs[:, :1], ys)
-    with pytest.raises(ValueError, match="delta"):
-        _fit_square([p, dataclasses.replace(p, delta=0.2)], 2, xs, ys)
     for bad in (np.nan, np.inf):
         x_bad = xs.copy()
         x_bad[2, 1] = bad
@@ -1066,7 +1072,7 @@ def test_wrapper_bank_rows_match_saew_step_at_every_step(loss):
     draws = [env.draw(T) for env in envs]
     params = [ProblemParams(d0=2, alpha=alpha, U=1.0, B=2.0, delta=0.05)
               for alpha in (30.0, 1e4, 0.5)]
-    bank = WrapperBank(params, d, ["a", "b", "c"])
+    bank = WrapperBank(*_columns(params), d, ["a", "b", "c"])
     states = [saew_init(p, d) for p in params]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -1093,9 +1099,58 @@ def test_wrapper_bank_warns_per_degenerate_row():
               for d0 in (0, 1, 0)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        WrapperBank(params, 2, ["a", "b", "c"])
+        WrapperBank(*_columns(params), 2, ["a", "b", "c"])
     assert [w.category for w in caught] == [UserWarning] * 2
     assert all("d0=0" in str(w.message) for w in caught)
+
+
+_ROWS = dict(d0=[1, 2, 3], alpha=[1.0, 2.0, 4.0], U=[1.0, 1.0, 0.5],
+             B=[1.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("name,value,rule", [
+    ("d0", 1.5, "be a nonnegative integer, got 1.5"),
+    ("d0", -1, "be a nonnegative integer, got -1"),
+    ("d0", math.nan, "be a nonnegative integer, got nan"),
+    ("d0", 4, "be <= d=3, got 4"),
+    ("d0", math.inf, "be <= d=3, got inf"),
+    *((name, value, f"be finite and > 0, got {value!r}")
+      for name in ("alpha", "U", "B")
+      for value in (0.0, -1.0, math.nan, math.inf)),
+])
+def test_wrapper_bank_names_the_first_row_against_a_column_rule(
+        name, value, rule):
+    # Row b breaks the rule; row c breaks another rule, or the same one.
+    columns = {key: list(column) for key, column in _ROWS.items()}
+    columns[name][1] = value
+    columns["d0"][2] = 9
+    with pytest.raises(ValueError, match=f"^b: {name} must {re.escape(rule)}$"):
+        WrapperBank(**columns, delta=0.1, d=3, labels=["a", "b", "c"])
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan, math.inf])
+def test_wrapper_bank_rejects_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValueError,
+                       match=rf"^a: delta must lie in \(0, 1\), got {delta}$"):
+        WrapperBank(**_ROWS, delta=delta, d=3, labels=["a", "b", "c"])
+
+
+@pytest.mark.parametrize("name", ["d0", "alpha", "U", "B"])
+def test_wrapper_bank_rejects_columns_of_unequal_lengths(name):
+    columns = dict(_ROWS, **{name: _ROWS[name][:2]})
+    lengths = ", ".join("2" if key == name else "3" for key in _ROWS)
+    with pytest.raises(ValueError, match=re.escape(
+            f"c: the columns labels, d0, alpha, U, B must have one length, "
+            f"got 3, {lengths}")):
+        WrapperBank(**columns, delta=0.1, d=3, labels=["a", "b", "c"])
+    # A row without a label is named by its index.
+    with pytest.raises(ValueError, match="^row 2: the columns"):
+        WrapperBank(**_ROWS, delta=0.1, d=3, labels=["a", "b"])
+
+
+def test_wrapper_bank_needs_a_row():
+    with pytest.raises(ValueError, match="at least one row"):
+        WrapperBank([], [], [], [], 0.1, 2, [])
 
 
 def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
@@ -1108,7 +1163,7 @@ def test_wrapper_bank_matches_saew_step_as_the_radius_underflows():
     params = ProblemParams(d0=0, alpha=30.0, U=1.0, B=100.0, delta=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        bank = WrapperBank([params], 2, ["a"])
+        bank = WrapperBank(*_columns([params]), 2, ["a"])
         state = saew_init(params, 2)
     for x, y in zip(xs, ys):
         theta_hat = bank.prediction.copy()
@@ -1128,7 +1183,7 @@ def test_wrapper_bank_memory_does_not_grow_with_the_session_index():
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="d0=0"):
-            bank = WrapperBank([params], 2, ["a"])
+            bank = WrapperBank(*_columns([params]), 2, ["a"])
         for _ in range(3000):
             bank.step(grad)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1140,7 +1195,7 @@ def test_wrapper_bank_memory_does_not_grow_with_the_session_index():
 
 def test_wrapper_bank_rejects_bad_stacks_naming_its_own_step():
     params = ProblemParams(d0=1, alpha=1.0, U=1.0, B=2.0, delta=0.1)
-    bank = WrapperBank([params] * 3, 5, ["a", "b", "c"])
+    bank = WrapperBank(*_columns([params] * 3), 5, ["a", "b", "c"])
     for _ in range(2):
         bank.step(np.full((3, 5), 0.25))
     fields = ("prediction", "theta_tilde", "theta_bar_sum", "eps", "err",

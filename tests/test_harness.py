@@ -131,6 +131,26 @@ def test_validate_names_offending_key(tmp_path, field, value, key):
         cfg.validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["noise_sd", "x_bound", "noise_bound_sds",
+                                 "rda_gamma", "rda_rho", "rda_lambda"])
+def test_validate_rejects_non_finite_values(tmp_path, key, value):
+    cfg = _config(tmp_path, algorithm="rda", **{key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+        cfg.validate()
+
+
+def test_cli_run_rejects_a_non_finite_noise_sd_before_the_outdir(
+        tmp_path, capsys):
+    cfg = _config(tmp_path)
+    ini = tmp_path / "run.ini"
+    dataclasses.replace(cfg, noise_sd=math.nan).to_ini(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: noise_sd: must be finite and >= 0, got nan\n")
+    assert not Path(cfg.outdir).exists()
+
+
 def test_validate_rejects_mc_risk_outside_quantile(tmp_path):
     cfg = _config(tmp_path, mc_risk=True)
     with pytest.raises(ConfigError, match="mc_risk"):

@@ -469,3 +469,16 @@ def test_bank_rejects_a_misshaped_gradient_stack(shape):
     for got, want in zip((bank.v2, bank.b_hat, bank.grad_sum,
                           bank.prediction), before):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("radius,B,labels", [
+    ([1.0] * 3, [1.0] * 3, ["a", "b"]),
+    ([1.0] * 2, [1.0] * 3, ["a", "b", "c"]),
+    ([1.0] * 3, [1.0] * 4, ["a", "b", "c"]),
+], ids=["short_labels", "short_radii", "long_B"])
+def test_bank_needs_one_radius_B_and_label_per_row(radius, B, labels):
+    # A short label list would turn a gradient error into an IndexError.
+    with pytest.raises(ValueError, match=(
+            f"^3 forecasters need 3 radii, B values and labels, got "
+            f"{len(radius)}, {len(B)} and {len(labels)}$")):
+        EGBank(np.zeros((3, 2)), radius, B, labels)
