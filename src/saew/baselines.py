@@ -11,6 +11,7 @@ the log-decade values to choose them from.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -90,13 +91,16 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
     if gradient.shape != state.grad_sum.shape:
         raise ValueError(f"gradient has shape {gradient.shape}, "
                          f"expected {state.grad_sum.shape}")
-    if not np.all(np.isfinite(gradient)):
+    # The sum of squares is finite only if every entry is; only one that
+    # is not (or that overflows) is scanned entry by entry.
+    if (not math.isfinite(np.vdot(gradient, gradient))
+            and not np.isfinite(gradient).all()):
         raise ValueError("gradient must be finite")
     state.t += 1
     t = state.t
     state.grad_sum += gradient
     grad_mean = state.grad_sum / t
-    sqrt_t = np.sqrt(t)
+    sqrt_t = math.sqrt(t)
     lam_t = state.lam + state.gamma * state.rho / sqrt_t
     mag = np.abs(grad_mean)
     shrunk = np.where(mag <= lam_t, 0.0,
@@ -107,5 +111,6 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
 
 
 def rda_predict(state: RdaState) -> DenseVector:
-    """Current point (copy)."""
-    return state.theta.copy()
+    """Current point: the state's array, which :func:`rda_step` replaces
+    and never writes into."""
+    return state.theta

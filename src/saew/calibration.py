@@ -17,7 +17,10 @@ During session ``j``:
 Candidates train only at session boundaries: when session ``j`` closes,
 every grid-``(j+1)`` wrapper is fitted once over the whole history, in
 stream order, as one row of a wrapper bank stepped on the square-loss
-gradient, and only its ``theta_tilde`` is kept.
+gradient, and only its ``theta_tilde`` is kept.  A wrapper whose
+confidence radius provably stays at least its ``U`` over the whole
+history (``saew.engine.frozen_rows``) keeps ``theta_tilde = 0`` and is not
+stepped at all.
 
 The session estimator ``f_bar`` is the average of the meta predictors
 used over the previous session, stored as time-averaged weights over the
@@ -34,11 +37,11 @@ import dataclasses
 import math
 import re
 import warnings
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
-from saew.engine import WrapperBank
+from saew.engine import WrapperBank, frozen_rows
 from saew.losses import square_grad
 from saew.subroutine import OVER_B_WARNING
 # Unused here; benchmarks/tracer.py wraps these names in this module.
@@ -71,6 +74,28 @@ class GridEntry:
         if self.is_null:
             return "null"
         return f"d0={self.d0},alpha={self.alpha:g},U={self.U:g},B={self.B:g}"
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Grid(Sequence[GridEntry]):
+    """A hyperparameter grid as columns: row ``k`` is the tuple ``(d0[k],
+    alpha[k], U[k], B[k])``, and ``grid[k]`` its :class:`GridEntry`.  A row
+    with ``d0 = 0`` is the null predictor; its other columns are NaN."""
+
+    d0: np.ndarray
+    alpha: np.ndarray
+    U: np.ndarray
+    B: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d0)
+
+    def __getitem__(self, k: int) -> GridEntry:
+        d0 = int(self.d0[k])
+        if d0 == 0:
+            return GridEntry(d0=0)
+        return GridEntry(d0, float(self.alpha[k]), float(self.U[k]),
+                         float(self.B[k]))
 
 
 def _exponent_range(lo: int, hi: int,
@@ -110,7 +135,7 @@ def _grid_ranges(j: int, d: int, Y: float,
 
 def build_grid(j: int, d: int, Y: float,
                exponent_clamp: tuple[int, int] | None = None
-               ) -> tuple[GridEntry, ...]:
+               ) -> Grid:
     """Hyperparameter grid for doubling session ``j``, null entry first.
 
     Components are exact powers of two spanning:
@@ -129,14 +154,24 @@ def build_grid(j: int, d: int, Y: float,
         ValueError: if ``d < 1``, ``Y <= 0``, ``j < 0``, or a malformed
             clamp.
     """
-    entries: list[GridEntry] = [GridEntry(d0=0)]
+    d0s: list[int] = [0]
+    kas: list[int] = []
+    kus: list[int] = []
+    kbs: list[int] = []
     for d0, kb, alpha_exponents, ub_exponents in _grid_ranges(
             j, d, Y, exponent_clamp):
+        n = len(alpha_exponents) * len(ub_exponents)
+        d0s += [d0] * n
+        kbs += [kb] * n
         for ka in alpha_exponents:
-            for ku in ub_exponents:
-                entries.append(GridEntry(d0=d0, alpha=2.0 ** ka,
-                                         U=2.0 ** ku, B=2.0 ** kb))
-    return tuple(entries)
+            kas += [ka] * len(ub_exponents)
+            kus += ub_exponents
+
+    def powers(exponents: list[int]) -> np.ndarray:
+        return np.concatenate(([np.nan],
+                               np.ldexp(1.0, np.array(exponents, int))))
+
+    return Grid(np.array(d0s), powers(kas), powers(kus), powers(kbs))
 
 
 def grid_cost(T: int, d: int, Y: float,
@@ -208,6 +243,10 @@ class CalibrationState:
     ``candidates``/``theta_matrix``/``log_weights`` describe the
     predicting set for the current session ``j`` (estimators fitted on the
     samples before ``2**j``).  The session has seen ``t - 2**j`` samples.
+    Of the candidate-steps the fits so far account for (non-null rows times
+    history samples, ``grid_cost`` of the samples before the last close),
+    ``candidate_steps`` were run and ``frozen_steps`` skipped, their rows
+    proven to stay at the origin.
     """
 
     d: int
@@ -216,7 +255,7 @@ class CalibrationState:
     exponent_clamp: tuple[int, int] | None
     j: int
     t: int
-    candidates: list[GridEntry]
+    candidates: Grid
     theta_matrix: np.ndarray
     log_weights: np.ndarray
     weight_snapshot_sum: np.ndarray
@@ -227,6 +266,8 @@ class CalibrationState:
     history_y: list[float]
     n_out_of_range: int
     session_rows: list[SessionSummary]
+    candidate_steps: int = 0
+    frozen_steps: int = 0
 
     @property
     def eta(self) -> float:
@@ -243,50 +284,60 @@ def session_delta(delta: float, j: int) -> float:
     return delta / (2.0 * (j + 1) ** 2)
 
 
-def _fit_candidates(entries: Sequence[GridEntry], d: int, delta_j: float,
+def _fit_candidates(grid: Grid, d: int, delta_j: float,
                     history_x: Sequence[np.ndarray],
-                    history_y: Sequence[float]) -> np.ndarray:
-    """One row per entry: ``theta_tilde`` of a fresh wrapper run over the
-    history on the square loss, in stream order (zeros for the null entry).
+                    history_y: Sequence[float]) -> tuple[np.ndarray, int]:
+    """One row per grid row: ``theta_tilde`` of a fresh wrapper run over
+    the history on the square loss, in stream order (zeros for the null
+    entry); and the number of rows stepped.
 
-    The non-null wrappers are the rows of one :class:`WrapperBank`, each
-    with the bits of its own ``saew_step`` run; unlike the subroutine, the
-    fit issues no warning for gradients above ``B``.  Nominal sparsity
-    above the ambient dimension is run at ``d0 = d`` (the truncation keeps
-    every coordinate either way).
+    Rows that :func:`frozen_rows` proves keep ``theta_tilde = 0`` over the
+    history are not stepped: their rows are zeros, the bits their runs
+    would leave.  The other non-null wrappers are the rows of one
+    :class:`WrapperBank`, each with the bits of its own ``saew_step`` run;
+    unlike the subroutine, the fit issues no warning for gradients above
+    ``B``.  Nominal sparsity above the ambient dimension is run at ``d0 =
+    d`` (the truncation keeps every coordinate either way).
     """
-    theta_matrix = np.zeros((len(entries), d))
-    rows = [row for row, entry in enumerate(entries) if not entry.is_null]
-    if not rows:
-        return theta_matrix
-    d0, alpha, U, B = np.array([(entries[r].d0, entries[r].alpha,
-                                 entries[r].U, entries[r].B)
-                                for r in rows]).T
-    bank = WrapperBank(np.minimum(d0, d), alpha, U, B, delta_j, d,
-                       [f"candidate {r}" for r in rows])
+    theta_matrix = np.zeros((len(grid), d))
+    d0 = np.minimum(grid.d0, d)
+    rows = np.flatnonzero(d0)
+    columns = d0[rows], grid.alpha[rows], grid.U[rows], grid.B[rows]
+    live = ~frozen_rows(*columns, delta_j, d, len(history_x))
+    rows = rows[live]
+    if not rows.size:
+        return theta_matrix, 0
+    bank = WrapperBank(*(column[live] for column in columns), delta_j, d,
+                       [f"candidate {r}" for r in rows.tolist()])
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
                                 RuntimeWarning)
         for x, y in zip(history_x, history_y):
             bank.step(square_grad(bank.prediction, x, y))
     theta_matrix[rows] = bank.theta_tilde
-    return theta_matrix
+    return theta_matrix, rows.size
 
 
 def _fitted_grid(state: CalibrationState, j: int, history_x: list[np.ndarray],
-                 history_y: list[float]) -> tuple[list[GridEntry], np.ndarray]:
-    """Session ``j``'s candidates and their estimators fitted on the
-    history; ``state`` is only read."""
-    grid = list(build_grid(j, state.d, state.Y, state.exponent_clamp))
-    return grid, _fit_candidates(grid, state.d, session_delta(state.delta, j),
-                                 history_x, history_y)
+                 history_y: list[float]) -> tuple[Grid, np.ndarray, int]:
+    """Session ``j``'s grid, its estimators fitted on the history and the
+    number of rows stepped (see :func:`_fit_candidates`); ``state`` is only
+    read."""
+    grid = build_grid(j, state.d, state.Y, state.exponent_clamp)
+    return (grid, *_fit_candidates(grid, state.d,
+                                   session_delta(state.delta, j),
+                                   history_x, history_y))
 
 
 def _open_session(state: CalibrationState,
-                  grid: tuple[list[GridEntry], np.ndarray]) -> None:
-    """Start session ``state.j`` on its fitted ``grid`` (see
+                  fitted: tuple[Grid, np.ndarray, int]) -> None:
+    """Start session ``state.j`` on its grid fitted over the history (see
     :func:`_fitted_grid`) with a fresh meta-aggregator."""
-    state.candidates, state.theta_matrix = grid
+    state.candidates, state.theta_matrix, stepped = fitted
+    samples = len(state.history_y)
+    state.candidate_steps += stepped * samples
+    state.frozen_steps += (np.count_nonzero(state.candidates.d0) - stepped
+                           ) * samples
     m = len(state.candidates)
     state.log_weights = np.zeros(m)
     state.weight_snapshot_sum = np.zeros(m)
@@ -321,9 +372,9 @@ def calibration_init(d: int, Y: float, delta: float,
 
 
 def _close_session(state: CalibrationState,
-                   grid: tuple[list[GridEntry], np.ndarray]) -> None:
+                   fitted: tuple[Grid, np.ndarray, int]) -> None:
     """Roll over at ``t = 2**(j+1)``: record session ``j`` and open
-    session ``j + 1`` on its fitted ``grid``."""
+    session ``j + 1`` on its ``fitted`` grid."""
     steps = state.t - 2 ** state.j
     # Average meta predictor over the finished session.
     state.past_estimators.append(SessionPredictor(
@@ -340,7 +391,7 @@ def _close_session(state: CalibrationState,
         best_risk=float(state.candidate_loss_sum[best]) / steps,
     ))
     state.j += 1
-    _open_session(state, grid)
+    _open_session(state, fitted)
 
 
 def calibration_step(state: CalibrationState, x: np.ndarray, y: float
@@ -384,8 +435,8 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
     # fails leaves the state as it was.
     closes = state.t + 1 == 2 ** (state.j + 1)
     if closes:
-        grid = _fitted_grid(state, state.j + 1, [*state.history_x, x],
-                            [*state.history_y, y])
+        fitted = _fitted_grid(state, state.j + 1, [*state.history_x, x],
+                              [*state.history_y, y])
 
     state.weight_snapshot_sum += weights
     if abs(y) > state.Y:
@@ -400,7 +451,7 @@ def calibration_step(state: CalibrationState, x: np.ndarray, y: float
 
     state.t += 1
     if closes:
-        _close_session(state, grid)
+        _close_session(state, fitted)
     return prediction, state
 
 

@@ -422,6 +422,56 @@ class WrapperBank:
         self.theta_bar_sum[r] = 0.0
 
 
+# Windows per block of the frozen-row check: its arrays are rows x block.
+_FROZEN_BLOCK = 256
+
+
+def radius_floor(d0: np.ndarray, alpha: np.ndarray, U: np.ndarray,
+                 B: np.ndarray, delta: float, d: int,
+                 windows: np.ndarray) -> np.ndarray:
+    """``(N, W)`` lower bounds on ``eps`` of a session-0 row of a
+    :class:`WrapperBank` with these columns, one per window in ``windows``.
+
+    The bound is the bank's own expression with ``err = a' * sqrt(v2) +
+    b' * B`` replaced by ``b' * B``, in the bank's order:
+    ``2 * sqrt(eps_factor * (b' * B) / (alpha * w))``.  Since ``a' *
+    sqrt(v2) >= 0`` and every later operation is monotone under rounding,
+    the bank's ``eps`` never falls below it, whatever the gradients.
+    """
+    b = eg_certificate(d).b + 0.5
+    neg_log_delta = -math.log(delta_i(delta, 1))
+    term = np.array([_log_window_term(w) for w in windows.tolist()])
+    b_p = (b + term) + neg_log_delta
+    return 2.0 * np.sqrt(_eps_factor(d0, U, 0)[:, None] * (b_p * B[:, None])
+                         / (alpha[:, None] * windows))
+
+
+def frozen_rows(d0: np.ndarray, alpha: np.ndarray, U: np.ndarray,
+                B: np.ndarray, delta: float, d: int,
+                steps: int) -> np.ndarray:
+    """Mask of the rows of a fresh ``WrapperBank(d0, alpha, U, B, delta,
+    d, ...)`` whose ``theta_tilde`` provably stays 0 over ``steps`` steps.
+
+    A row is frozen when :func:`radius_floor` is at least its ``U`` at
+    every window up to ``steps``: its ``eps`` then never drops below
+    ``eps_min = U`` and never reaches the next radius ``U * 2**(-1/2)``,
+    so it stays in session 0 and never moves ``theta_tilde`` off the
+    origin, on any gradients.  The windows are checked a block at a time,
+    largest first, on the rows not yet found live, so the memory is
+    O(N x block), not O(N x steps).
+    """
+    frozen = np.ones(len(d0), dtype=bool)
+    for stop in range(steps, 0, -_FROZEN_BLOCK):
+        rows = np.flatnonzero(frozen)
+        if not rows.size:
+            break
+        windows = np.arange(max(stop - _FROZEN_BLOCK, 0) + 1, stop + 1)
+        floor = radius_floor(d0[rows], alpha[rows], U[rows], B[rows], delta,
+                             d, windows)
+        frozen[rows] = np.logical_and.reduce(floor >= U[rows, None], axis=1)
+    return frozen
+
+
 # ============================================================
 # Snapshot / restore
 # ============================================================

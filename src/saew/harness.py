@@ -91,7 +91,8 @@ class ExperimentConfig:
         noise_sd: response noise standard deviation.
         algorithm: ``saew | eg | rda | calibrate``.
         T: horizon (number of stream samples), >= 1.
-        seeds: nonempty tuple of distinct master seeds, one run each.
+        seeds: nonempty tuple of distinct nonnegative master seeds, one
+            run each.
         outdir: output directory; all files are written under it.
         trace_bounds: append per-step bound columns to wrapper run CSVs.
         alpha_q: quantile level (quantile environment only).
@@ -167,6 +168,9 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds", f"must not repeat a seed, "
                                        f"got {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds", f"must be nonnegative, "
+                                       f"got {list(self.seeds)}")
         if not self.outdir:
             raise ConfigError("outdir", "must be nonempty")
         if not (0.0 < self.alpha_q < 1.0):
@@ -187,8 +191,9 @@ class ExperimentConfig:
                                          f" {dimension}, got {self.saew_d0}")
         for key in ("alpha", "U", "B", "cal_Y"):
             value = getattr(self, key)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ConfigError(key, f"must be > 0, got {value}")
+            if not (0.0 < value < math.inf):
+                raise ConfigError(key, f"must be finite and > 0, "
+                                       f"got {value}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta", f"must lie in (0, 1), "
                                        f"got {self.delta}")
@@ -545,10 +550,14 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
         def step(t, oracle):
             theta_hat = rda_predict(rda)
             gradient = oracle(theta_hat)
-            finite = np.isfinite(gradient).all(axis=1)
-            if not finite.all():
-                raise ValueError(f"{labels[np.flatnonzero(~finite)[0]]}: "
-                                 f"the gradient at step {t} is not finite")
+            # As in rda_step: only a sum of squares that is not finite
+            # calls for the scan that names the row.
+            if not math.isfinite(np.vdot(gradient, gradient)):
+                finite = np.isfinite(gradient).all(axis=1)
+                if not finite.all():
+                    raise ValueError(
+                        f"{labels[np.flatnonzero(~finite)[0]]}: "
+                        f"the gradient at step {t} is not finite")
             rda_step(rda, gradient)
             return theta_hat, rda_predict(rda), ()
         return step

@@ -115,9 +115,21 @@ def test_step_rejects_bad_gradients():
     state = rda_init(d=2, gamma=1.0)
     with pytest.raises(ValueError, match="finite"):
         rda_step(state, np.array([np.inf, 0.0]))
+    for bad in ([np.inf, -np.inf], [np.nan, 1.0], [1e200, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            rda_step(state, np.array(bad))
     with pytest.raises(ValueError, match="shape"):
         rda_step(state, np.zeros(3))
     assert state.t == 0
+
+
+def test_step_takes_a_finite_gradient_whose_squares_overflow():
+    # The finiteness check sums squares: 1e200 overflows it, and the
+    # entry-by-entry scan then finds every entry finite.
+    state = rda_init(d=2, gamma=1.0, rows=2)
+    rda_step(state, np.array([[1e200, 0.0], [0.0, 1.0]]))
+    assert state.t == 1 and np.isfinite(state.theta).all()
+    np.testing.assert_array_equal(state.theta[1], [0.0, -1.0])
 
 
 def test_hyperparameter_grid_is_log_decade():

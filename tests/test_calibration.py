@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +26,16 @@ from saew.calibration import (
     zero_predictor,
 )
 from saew.core import ProblemParams
-from saew.engine import saew_estimators, saew_init, saew_step
-from saew.losses import make_square_env
+from saew.engine import (
+    WrapperBank,
+    frozen_rows,
+    radius_floor,
+    saew_estimators,
+    saew_init,
+    saew_step,
+)
+from saew.losses import make_square_env, square_grad
+from saew.subroutine import OVER_B_WARNING
 
 
 # ============================================================
@@ -258,15 +268,41 @@ def _same(a, b) -> bool:
 
 def test_a_close_whose_fit_fails_leaves_the_state_unchanged():
     # The third step closes session 1 and fits grid 2 on the history,
-    # where the second sample makes candidate 1's gradient overflow.
-    state = calibration_init(2, 2.0, 0.1, exponent_clamp=(-1, 1))
+    # where the second sample makes candidate 20's gradient overflow.
+    state = calibration_init(2, 2.0, 0.1, exponent_clamp=(-1, 3))
     for x in ([1.0, 0.5], [1e200, 0.0]):
         calibration_step(state, np.array(x), 0.3)
     before = copy.deepcopy(state)
     with pytest.raises(ValueError,
-                       match="^candidate 1: the gradient at step 2 "), \
+                       match="^candidate 20: the gradient at step 2 "), \
             np.errstate(over="ignore"):
         calibration_step(state, np.array([1.0, 0.5]), 0.3)
+    for field in dataclasses.fields(CalibrationState):
+        assert _same(getattr(state, field.name),
+                     getattr(before, field.name)), field.name
+
+
+def test_a_fit_of_frozen_rows_only_steps_no_overflowing_sample():
+    # With clamp (-1, 1) every row of grids 2 and 3 is proven frozen, so
+    # their fits step no wrapper and the overflowing second sample raises
+    # nothing; grid 4 has live rows and its fit still raises.
+    state = calibration_init(2, 2.0, 0.1, exponent_clamp=(-1, 1))
+    x = np.array([1.0, 0.5])
+    for x_t in (x, [1e200, 0.0], x):
+        with np.errstate(over="ignore"):
+            calibration_step(state, np.array(x_t), 0.3)
+    assert (state.j, state.t, len(state.candidates)) == (2, 4, 55)
+    assert state.candidate_steps == 0
+    assert state.frozen_steps == 54 * 1 + 54 * 3
+    assert not np.any(state.theta_matrix)
+    with np.errstate(over="ignore"):
+        while state.t < 15:
+            calibration_step(state, x, 0.3)
+        assert state.candidate_steps == 0
+        before = copy.deepcopy(state)
+        with pytest.raises(ValueError,
+                           match="^candidate 9: the gradient at step 2 "):
+            calibration_step(state, x, 0.3)
     for field in dataclasses.fields(CalibrationState):
         assert _same(getattr(state, field.name),
                      getattr(before, field.name)), field.name
@@ -412,6 +448,94 @@ def test_non_degenerate_grid_rows_are_prefix_replicas():
                                       saew_estimators(replica)[1])
 
 
+def _unfrozen_fit(grid, d, delta_j, history_x, history_y):
+    """The reference fit: one WrapperBank over every non-null row."""
+    theta_matrix = np.zeros((len(grid), d))
+    rows = np.flatnonzero(grid.d0)
+    if not rows.size:
+        return theta_matrix
+    bank = WrapperBank(np.minimum(grid.d0[rows], d), grid.alpha[rows],
+                       grid.U[rows], grid.B[rows], delta_j, d,
+                       [f"candidate {r}" for r in rows.tolist()])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
+                                RuntimeWarning)
+        for x, y in zip(history_x, history_y):
+            bank.step(square_grad(bank.prediction, x, y))
+    theta_matrix[rows] = bank.theta_tilde
+    return theta_matrix
+
+
+@pytest.mark.parametrize("d, T, clamp", [
+    (10, 32, (-2, 2)),  # the calibrate_grid benchmark config
+    (10, 255, (-2, 4)), (10, 1023, (-2, 4)),  # the moving grid
+    (3, 255, (-2, 4)), (5, 255, (-2, 4)), (20, 255, (-2, 4))])
+def test_fits_skipping_frozen_rows_match_the_unfrozen_bank(d, T, clamp,
+                                                           monkeypatch):
+    # Every fit's theta_tilde matrix equals, bit for bit, that of one bank
+    # stepping every non-null row, frozen ones included.
+    import saew.calibration
+
+    fits = []
+    fit = saew.calibration._fit_candidates
+
+    def recording(*args):
+        fits.append((args, fit(*args)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(saew.calibration, "_fit_candidates", recording)
+    env = make_square_env(d=d, d0=2, noise_sd=0.1, seed=1)
+    state = run_calibration(env.draw, T=T, d=d, Y=2.0, delta=0.05,
+                            exponent_clamp=clamp)
+    assert state.candidate_steps > 0 and state.frozen_steps > 0
+    for args, (theta_matrix, _) in fits:
+        assert theta_matrix.tobytes() == _unfrozen_fit(*args).tobytes()
+
+
+def test_session_zero_radius_never_falls_below_its_floor():
+    # One bank over grid 8 of the moving grid and its 255 samples: while a
+    # row is in session 0 its eps is at least radius_floor at its window.
+    d, j = 10, 8
+    env = make_square_env(d=d, d0=2, noise_sd=0.1, seed=1)
+    xs, ys = env.draw(2 ** j - 1)
+    grid = build_grid(j, d, 2.0, (-2, 4))
+    rows = np.flatnonzero(grid.d0)
+    columns = (np.minimum(grid.d0[rows], d), grid.alpha[rows], grid.U[rows],
+               grid.B[rows])
+    delta_j = session_delta(0.05, j)
+    bank = WrapperBank(*columns, delta_j, d, [str(r) for r in rows])
+    ratios = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", re.escape(OVER_B_WARNING),
+                                RuntimeWarning)
+        for w, (x, y) in enumerate(zip(xs, ys), 1):
+            bank.step(square_grad(bank.prediction, x, y))
+            first = bank.session == 0
+            floor = radius_floor(*(c[first] for c in columns), delta_j, d,
+                                 np.array([w]))
+            ratios.append(np.min(bank.eps[first] / floor[:, 0]))
+    assert min(ratios) >= 1.0
+    # Rows leave session 0 and others stay frozen to the end.
+    assert 0 < np.count_nonzero(bank.session == 0) < len(rows)
+
+
+def test_frozen_row_check_memory_does_not_grow_with_the_history():
+    grid = build_grid(10, 10, 2.0, (-2, 4))
+    rows = np.flatnonzero(grid.d0)
+    columns = (np.minimum(grid.d0[rows], 10), grid.alpha[rows],
+               grid.U[rows], grid.B[rows])
+    peaks = []
+    for steps in (1023, 4095):
+        tracemalloc.start()
+        try:
+            frozen = frozen_rows(*columns, 0.01, 10, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert 0 < np.count_nonzero(frozen) < len(rows)
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
 def test_nominal_sparsity_above_dimension_is_usable():
     # d=3 puts d0=4 in the grid; the wrapper runs it at effective d0=3.
     grid = build_grid(0, d=3, Y=1.0)
@@ -475,17 +599,19 @@ def test_over_budget_run_builds_no_grid(monkeypatch):
 
 
 def _count_candidate_steps(monkeypatch):
-    # Candidates train in _fit_candidates, one wrapper step per non-null
-    # entry and history sample.
+    # Candidates train in _fit_candidates: one wrapper step per live row
+    # and history sample; the rows proven frozen are skipped.
     import saew.calibration
 
-    calls = [0]
+    calls = {"stepped": 0, "skipped": 0}
     fit = saew.calibration._fit_candidates
 
-    def counting(entries, d, delta_j, history_x, history_y):
-        fitted = sum(1 for e in entries if not e.is_null)
-        calls[0] += fitted * len(history_x)
-        return fit(entries, d, delta_j, history_x, history_y)
+    def counting(grid, d, delta_j, history_x, history_y):
+        theta_matrix, stepped = fit(grid, d, delta_j, history_x, history_y)
+        calls["stepped"] += stepped * len(history_x)
+        calls["skipped"] += ((np.count_nonzero(grid.d0) - stepped)
+                             * len(history_x))
+        return theta_matrix, stepped
 
     monkeypatch.setattr(saew.calibration, "_fit_candidates", counting)
     return calls
@@ -495,9 +621,12 @@ def _count_candidate_steps(monkeypatch):
 def test_grid_cost_counts_the_candidate_steps_run(T, monkeypatch):
     calls = _count_candidate_steps(monkeypatch)
     env = make_square_env(d=2, d0=1, noise_sd=0.1, seed=4)
-    run_calibration(env.draw, T=T, d=2, Y=2.0, delta=0.1,
-                    exponent_clamp=(-1, 1))
-    assert calls[0] == grid_cost(T, 2, 2.0, exponent_clamp=(-1, 1))
+    state = run_calibration(env.draw, T=T, d=2, Y=2.0, delta=0.1,
+                            exponent_clamp=(-1, 1))
+    assert (state.candidate_steps, state.frozen_steps) == (
+        calls["stepped"], calls["skipped"])
+    assert calls["stepped"] + calls["skipped"] == grid_cost(
+        T, 2, 2.0, exponent_clamp=(-1, 1))
 
 
 def test_candidates_train_only_when_a_session_closes(monkeypatch):
@@ -506,15 +635,18 @@ def test_candidates_train_only_when_a_session_closes(monkeypatch):
     xs, ys = env.draw(40)
     state = calibration_init(d=2, Y=2.0, delta=0.1, exponent_clamp=(-1, 1))
     for t in range(40):
-        before = calls[0]
+        before = calls["stepped"] + calls["skipped"]
         calibration_step(state, xs[t], float(ys[t]))
         closed = state.t == 2 ** state.j
-        assert (calls[0] > before) == closed
+        assert (calls["stepped"] + calls["skipped"] > before) == closed
+        assert state.candidate_steps + state.frozen_steps == grid_cost(
+            state.t - 1, 2, 2.0, exponent_clamp=(-1, 1))
+    assert calls["stepped"] > 0
 
 
 def test_candidate_fits_build_no_problem_params(monkeypatch):
-    # The fits hand the grid's columns to one bank per boundary: no
-    # ProblemParams is built, and every non-null candidate is a bank row.
+    # The fits hand the grid's live columns to one bank per boundary: no
+    # ProblemParams is built, and every live candidate is a bank row.
     import saew.calibration
 
     built, rows = [], []
@@ -531,12 +663,16 @@ def test_candidate_fits_build_no_problem_params(monkeypatch):
     monkeypatch.setattr(saew.calibration, "WrapperBank", CountingBank)
     d, T, clamp = 10, 32, (-2, 2)
     env = make_square_env(d=d, d0=2, noise_sd=0.1, seed=1)
-    run_calibration(env.draw, T=T, d=d, Y=2.0, delta=0.05,
-                    exponent_clamp=clamp)
+    state = run_calibration(env.draw, T=T, d=d, Y=2.0, delta=0.05,
+                            exponent_clamp=clamp)
     assert built == []
-    assert rows == [len(build_grid(j, d, 2.0, clamp)) - 1
-                    for j in range(6)]
-    assert sum(rows) == 3046
+    # Of grids 2-5's 605, 625, 625 and 625 candidates, these are live;
+    # grid 0 is fitted on no samples and grid 1 has all 500 rows frozen.
+    assert rows == [1, 5, 15, 36]
+    assert state.candidate_steps == sum(
+        n * (2 ** j - 1) for j, n in zip(range(2, 6), rows))
+    assert state.candidate_steps + state.frozen_steps == grid_cost(
+        T, d, 2.0, clamp)
 
 
 def test_grid_of_only_the_null_entry_predicts_zero(monkeypatch):
@@ -559,7 +695,8 @@ def test_grid_of_only_the_null_entry_predicts_zero(monkeypatch):
     assert [(row.j, row.grid_size, row.best_candidate)
             for row in state.session_rows] == [(j, 1, "null")
                                                for j in range(7)]
-    assert state.candidates == [GridEntry(d0=0)]
+    assert list(state.candidates) == [GridEntry(d0=0)]
+    assert (state.candidate_steps, state.frozen_steps) == (0, 0)
     assert calibration_estimator(state)(xs[0]) == 0.0
 
 

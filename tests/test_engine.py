@@ -23,7 +23,7 @@ from saew.bounds import (
     radius_bound,
     session_length_bound,
 )
-from saew.calibration import GridEntry, _fit_candidates, build_grid
+from saew.calibration import Grid, GridEntry, _fit_candidates, build_grid
 from saew.core import BALL_TOL, L1Ball, ProblemParams, ball_contains, l1_norm
 from saew.engine import (
     SNAPSHOT_VERSION,
@@ -985,12 +985,24 @@ def test_fit_square_matches_saew_step_on_underflowing_gradients():
     assert any(np.any(s.theta_tilde) for s in states)
 
 
+def _grid(*entries):
+    """The grid of these entries, as calibration's columns."""
+    def column(name):
+        return np.array([np.nan if getattr(e, name) is None
+                         else getattr(e, name) for e in entries], float)
+    return Grid(np.array([e.d0 for e in entries], int), column("alpha"),
+                column("U"), column("B"))
+
+
 def test_fit_square_of_no_wrappers_or_no_history():
     # Calibration fits no bank for a grid without non-null entries.
     xs, ys = np.ones((3, 2)), np.ones(3)
-    assert _fit_candidates([], 2, 0.1, xs, ys).shape == (0, 2)
-    np.testing.assert_array_equal(
-        _fit_candidates([GridEntry(d0=0)], 2, 0.1, xs, ys), np.zeros((1, 2)))
+    theta_matrix, stepped = _fit_candidates(_grid(), 2, 0.1, xs, ys)
+    assert theta_matrix.shape == (0, 2) and stepped == 0
+    theta_matrix, stepped = _fit_candidates(_grid(GridEntry(d0=0)), 2, 0.1,
+                                            xs, ys)
+    np.testing.assert_array_equal(theta_matrix, np.zeros((1, 2)))
+    assert stepped == 0
     params = [ProblemParams(d0=1, alpha=1.0, U=1.0, B=1.0, delta=0.1)]
     theta_tilde, session = _fit_square(params, 2, [], [])
     np.testing.assert_array_equal(theta_tilde, np.zeros((1, 2)))
@@ -1044,11 +1056,13 @@ def test_fit_square_takes_a_subnormal_residual_like_saew_step():
 def test_fit_square_issues_no_warning_above_B():
     env = make_square_env(d=5, d0=1, noise_sd=0.2, seed=2)
     xs, ys = env.draw(200)
-    entries = [GridEntry(d0=1, alpha=30.0, U=1.0, B=0.01)]
+    grid = _grid(GridEntry(d0=1, alpha=30.0, U=1.0, B=0.01))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         filters = list(warnings.filters)
-        theta = _fit_candidates(entries, 5, 0.05, list(xs), ys.tolist())
+        theta, stepped = _fit_candidates(grid, 5, 0.05, list(xs),
+                                         ys.tolist())
+        assert stepped == 1
         assert warnings.filters == filters
     params = [ProblemParams(d0=1, alpha=30.0, U=1.0, B=0.01, delta=0.05)]
     np.testing.assert_array_equal(theta, _fit_square(params, 5, xs, ys)[0])

@@ -140,6 +140,33 @@ def test_validate_rejects_non_finite_values(tmp_path, key, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("key", ["alpha", "U", "B", "cal_Y"])
+def test_validate_rejects_wrapper_constants_not_finite_and_positive(
+        tmp_path, key, value):
+    cfg = _config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError,
+                       match=rf"^{key}: must be finite and > 0, got {value}$"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("seeds", [(-1,), (3, -2)])
+def test_validate_rejects_a_negative_seed(tmp_path, seeds):
+    cfg = _config(tmp_path, seeds=seeds)
+    with pytest.raises(ConfigError, match=r"^seeds: must be nonnegative, "):
+        cfg.validate()
+
+
+def test_cli_run_rejects_a_negative_seed_before_the_outdir(tmp_path, capsys):
+    cfg = _config(tmp_path)
+    ini = tmp_path / "run.ini"
+    dataclasses.replace(cfg, seeds=(-1,)).to_ini(ini)
+    assert main(["run", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seeds: must be nonnegative, got [-1]\n")
+    assert not Path(cfg.outdir).exists()
+
+
 def test_cli_run_rejects_a_non_finite_noise_sd_before_the_outdir(
         tmp_path, capsys):
     cfg = _config(tmp_path)
