@@ -112,15 +112,15 @@ def _grid_ranges(j: int, d: int, Y: float,
     ``(d0, B exponent, alpha exponents, U exponents)`` per ``(d0, B)``.
 
     Raises:
-        ValueError: if ``d < 1``, ``Y <= 0``, ``j < 0``, or a malformed
-            clamp.
+        ValueError: if ``d < 1``, ``Y`` is not finite and > 0, ``j < 0``,
+            or a malformed clamp.
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not (Y > 0.0) or not math.isfinite(Y):
-        raise ValueError(f"Y must be > 0, got {Y}")
+    if not 0.0 < Y < math.inf:
+        raise ValueError(f"Y must be finite and > 0, got {Y}")
     if exponent_clamp is not None and exponent_clamp[0] > exponent_clamp[1]:
         raise ValueError(f"bad exponent clamp: {exponent_clamp}")
     ub_exponents = _exponent_range(
@@ -151,8 +151,8 @@ def build_grid(j: int, d: int, Y: float,
     unclamped grid — nothing is resampled).
 
     Raises:
-        ValueError: if ``d < 1``, ``Y <= 0``, ``j < 0``, or a malformed
-            clamp.
+        ValueError: if ``d < 1``, ``Y`` is not finite and > 0, ``j < 0``,
+            or a malformed clamp.
     """
     d0s: list[int] = [0]
     kas: list[int] = []
@@ -352,17 +352,15 @@ def calibration_init(d: int, Y: float, delta: float,
 
     Session 0's candidates predict through zero estimators (nothing was
     observed before ``t = 1``).
+
+    Raises:
+        ValueError: an input :func:`build_grid` or :func:`session_delta`
+            rejects.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not (Y > 0.0):
-        raise ValueError(f"Y must be > 0, got {Y}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     # _open_session sets the session's fields.
     state = CalibrationState(
         d=d, Y=Y, delta=delta, exponent_clamp=exponent_clamp, j=0, t=1,
-        candidates=[], theta_matrix=np.zeros((0, d)),
+        candidates=[], theta_matrix=np.zeros((0, 0)),
         log_weights=np.zeros(0), weight_snapshot_sum=np.zeros(0),
         meta_loss_sum=0.0, candidate_loss_sum=np.zeros(0),
         past_estimators=[], history_x=[], history_y=[], n_out_of_range=0,

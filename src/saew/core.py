@@ -261,7 +261,8 @@ def write_table(path: str | Path, columns: Sequence[str],
     The first line is the header ``columns``.  The ``t``, ``session`` and
     ``seed`` columns are written as integers and every other value with
     ``%.12g`` and a plain decimal point; every line ends in a newline.
-    Every numeric CSV the harness writes goes through here.
+    Every all-numeric CSV goes through here; the calibration CSV, whose
+    labels need quoting, goes through ``csv.writer``.
 
     Raises:
         ValueError: if ``data`` is not a table of ``len(columns)`` columns.

@@ -266,6 +266,17 @@ def _eps_factor(d0: int, U: float, i: int) -> float:
     return 2.0 * d0 * U * 2.0 ** (-i / 2.0)
 
 
+def _radius(certificate: RegretCertificate, term, neg_log_delta, v2, B,
+            eps_factor, alpha, window) -> tuple:
+    """``(a', b', err, eps)`` as :func:`saew_step` gets them from the bound
+    evaluators, over arrays that broadcast; ``term`` is the window term and
+    ``neg_log_delta`` is ``-log(delta_i)`` (``x - y`` is ``x + (-y)``)."""
+    a_p = certificate.a + np.sqrt(2.0 * (term + neg_log_delta))
+    b_p = (certificate.b + 0.5) + term + neg_log_delta
+    err = a_p * np.sqrt(v2) + b_p * B
+    return a_p, b_p, err, 2.0 * np.sqrt(eps_factor * err / (alpha * window))
+
+
 Column = Sequence[float] | np.ndarray
 
 
@@ -388,24 +399,19 @@ class WrapperBank:
             self.window_term = np.append(
                 self.window_term,
                 [_log_window_term(w) for w in range(steps, 2 * steps)])
-        # a_prime's and b_prime's operations: x - y is x + (-y) exactly.
-        term, neg_log_delta = self.window_term[window], self.neg_log_delta
-        self.a_prime = a_p = (self.certificate.a
-                              + np.sqrt(2.0 * (term + neg_log_delta)))
-        self.b_prime = b_p = (self.certificate.b + 0.5) + term + neg_log_delta
-        self.err = a_p * np.sqrt(eg.v2) + b_p * eg.B
-        self.eps = eps = 2.0 * np.sqrt(self.eps_factor * self.err
-                                       / (self.alpha * window))
+        self.a_prime, self.b_prime, self.err, self.eps = _radius(
+            self.certificate, self.window_term[window], self.neg_log_delta,
+            eg.v2, eg.B, self.eps_factor, self.alpha, window)
 
-        better = eps < self.eps_min
+        better = self.eps < self.eps_min
         if np.count_nonzero(better):
             np.divide(self.theta_bar_sum, window[:, None],
                       out=self.theta_tilde, where=better[:, None])
-            np.minimum(self.eps_min, eps, out=self.eps_min)
-        closing = eps <= self.next_radius
+            np.minimum(self.eps_min, self.eps, out=self.eps_min)
+        closing = self.eps <= self.next_radius
         if np.count_nonzero(closing):
             for r in np.flatnonzero(closing).tolist():
-                self._close(r, float(eps[r]))
+                self._close(r, float(self.eps[r]))
 
     def _close(self, r: int, eps: float) -> None:
         """Close row ``r``'s session, cascade included."""
@@ -422,28 +428,21 @@ class WrapperBank:
         self.theta_bar_sum[r] = 0.0
 
 
-# Windows per block of the frozen-row check: its arrays are rows x block.
-_FROZEN_BLOCK = 256
-
-
 def radius_floor(d0: np.ndarray, alpha: np.ndarray, U: np.ndarray,
                  B: np.ndarray, delta: float, d: int,
                  windows: np.ndarray) -> np.ndarray:
     """``(N, W)`` lower bounds on ``eps`` of a session-0 row of a
     :class:`WrapperBank` with these columns, one per window in ``windows``.
 
-    The bound is the bank's own expression with ``err = a' * sqrt(v2) +
-    b' * B`` replaced by ``b' * B``, in the bank's order:
-    ``2 * sqrt(eps_factor * (b' * B) / (alpha * w))``.  Since ``a' *
-    sqrt(v2) >= 0`` and every later operation is monotone under rounding,
-    the bank's ``eps`` never falls below it, whatever the gradients.
+    The bound is the bank's own radius at ``v2 = 0``, where ``err = a' *
+    sqrt(v2) + b' * B`` is exactly ``b' * B``.  Since ``a' * sqrt(v2) >=
+    0`` and every later operation is monotone under rounding, the bank's
+    ``eps`` never falls below it, whatever the gradients.
     """
-    b = eg_certificate(d).b + 0.5
-    neg_log_delta = -math.log(delta_i(delta, 1))
     term = np.array([_log_window_term(w) for w in windows.tolist()])
-    b_p = (b + term) + neg_log_delta
-    return 2.0 * np.sqrt(_eps_factor(d0, U, 0)[:, None] * (b_p * B[:, None])
-                         / (alpha[:, None] * windows))
+    return _radius(eg_certificate(d), term, -math.log(delta_i(delta, 1)),
+                   0.0, B[:, None], _eps_factor(d0, U, 0)[:, None],
+                   alpha[:, None], windows)[3]
 
 
 def frozen_rows(d0: np.ndarray, alpha: np.ndarray, U: np.ndarray,
@@ -456,20 +455,16 @@ def frozen_rows(d0: np.ndarray, alpha: np.ndarray, U: np.ndarray,
     every window up to ``steps``: its ``eps`` then never drops below
     ``eps_min = U`` and never reaches the next radius ``U * 2**(-1/2)``,
     so it stays in session 0 and never moves ``theta_tilde`` off the
-    origin, on any gradients.  The windows are checked a block at a time,
-    largest first, on the rows not yet found live, so the memory is
-    O(N x block), not O(N x steps).
+    origin, on any gradients.  The floor at the last window decides: it
+    drops by a relative step of at least about ``0.4 / w`` from window
+    ``w`` to ``w + 1``, which the few-ulp rounding of its operations
+    cannot undo for any history below 2**40 samples.  With no steps,
+    every row is frozen.
     """
-    frozen = np.ones(len(d0), dtype=bool)
-    for stop in range(steps, 0, -_FROZEN_BLOCK):
-        rows = np.flatnonzero(frozen)
-        if not rows.size:
-            break
-        windows = np.arange(max(stop - _FROZEN_BLOCK, 0) + 1, stop + 1)
-        floor = radius_floor(d0[rows], alpha[rows], U[rows], B[rows], delta,
-                             d, windows)
-        frozen[rows] = np.logical_and.reduce(floor >= U[rows, None], axis=1)
-    return frozen
+    if steps == 0:
+        return np.ones(len(d0), dtype=bool)
+    return radius_floor(d0, alpha, U, B, delta, d,
+                        np.array([steps]))[:, 0] >= U
 
 
 # ============================================================

@@ -600,15 +600,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     Raises:
         ConfigError: invalid configuration.
         ValueError: a non-finite gradient, or a run too short to summarize
-            (``T = 1``); nothing is written.
+            (``T = 1``); the outdir is not made.
         OSError: unwritable output directory.
     """
     config.validate()
     if config.algorithm == "calibrate":
         return run_calibrate(config)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if workers > 1:
         # Imported here: it loads multiprocessing, which a one-process
         # run never uses.
@@ -622,9 +619,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     else:
         records = _run_seeds(config, config.seeds)
 
-    # Summarized before any file is written: a run it rejects (T = 1)
-    # leaves no partial output.
+    # Summarized before the outdir is made: a run it rejects (T = 1)
+    # leaves nothing behind.
     summary = summarize(records)
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     for record in records:
         path = outdir / _seed_csv_name(record.seed)
@@ -647,15 +646,19 @@ def run_calibrate(config: ExperimentConfig) -> list[Path]:
         OSError: unwritable output directory.
     """
     config.validate()
+    runs = []
+    for seed in config.seeds:
+        env = build_environment(config, seed)
+        runs.append((seed, run_calibration(
+            env.draw, T=config.T, d=env.dimension, Y=config.cal_Y,
+            delta=config.delta, budget=config.cal_budget,
+            exponent_clamp=config.cal_clamp).session_rows))
+    # Every seed ran before the outdir is made: a run that fails leaves
+    # nothing behind.
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for seed in config.seeds:
-        env = build_environment(config, seed)
-        state = run_calibration(env.draw, T=config.T, d=env.dimension,
-                                Y=config.cal_Y, delta=config.delta,
-                                budget=config.cal_budget,
-                                exponent_clamp=config.cal_clamp)
+    for seed, session_rows in runs:
         path = outdir / f"calibration_seed{seed}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -664,7 +667,7 @@ def run_calibrate(config: ExperimentConfig) -> list[Path]:
             writer.writerows((row.j, row.grid_size, row.best_candidate,
                               format(row.meta_risk, ".12g"),
                               format(row.best_risk, ".12g"))
-                             for row in state.session_rows)
+                             for row in session_rows)
         paths.append(path)
     config.to_ini(outdir / "config.ini")
     return paths

@@ -29,8 +29,8 @@ from saew.bounds import (
     theorem1_bound,
 )
 from saew.calibration import run_calibration
-from saew.core import L1Ball, ProblemParams, ball_contains
-from saew.engine import saew_estimators, saew_init, saew_step
+from saew.core import BALL_TOL, L1Ball, ProblemParams
+from saew.engine import WrapperBank, saew_estimators, saew_init, saew_step
 from saew.losses import (
     make_quantile_env,
     make_square_env,
@@ -162,8 +162,47 @@ def test_subroutine_regret_certificate():
 
 
 # ============================================================
-# 2-4. Shared square-loss replica experiment
+# 2-5. Replica experiments as the rows of one wrapper bank
 # ============================================================
+
+def _run_bank(params, envs, T, gradient, observe):
+    """Run the wrapper on the first ``T`` samples of each environment's
+    stream, one environment per row of a :class:`WrapperBank`, and return
+    each row's ``session_starts`` (rebuilt from the changes in
+    ``bank.session``).
+
+    After step ``t`` the call ``observe(t, bank, theta_hat, center, radius,
+    grad, session)`` sees the step's predictions, the balls they were made
+    in, the gradient rows and the sessions before it.  Row 0's stream also
+    runs through ``saew_step``, which must give the row's prediction at
+    every step, and its ``theta_tilde`` and ``session_starts`` at the end.
+    """
+    n, d = len(envs), envs[0].dimension
+    bank = WrapperBank(*(np.full(n, value) for value in (
+        params.d0, params.alpha, params.U, params.B)), params.delta, d,
+        [f"seed {env.seed}" for env in envs])
+    reference = saew_init(params, d)
+    starts = [[1] for _ in envs]
+    t = 0
+    for parts in zip(*(env.blocks(T, 4096) for env in envs)):
+        xs = np.stack([x for x, _ in parts], axis=1)
+        ys = np.stack([y for _, y in parts], axis=1)
+        for x, y in zip(xs, ys):
+            t += 1
+            theta_hat, session = bank.prediction, bank.session.copy()
+            center, radius = bank.eg.center.copy(), bank.eg.radius.copy()
+            assert (theta_hat[0].tobytes()
+                    == saew_estimators(reference)[0].tobytes()), t
+            grad = gradient(theta_hat, x, y)
+            bank.step(grad)
+            saew_step(reference, lambda th: gradient(th, x[0], y[0]))
+            for r in np.flatnonzero(bank.session != session).tolist():
+                starts[r] += [t + 1] * int(bank.session[r] - session[r])
+            observe(t, bank, theta_hat, center, radius, grad, session)
+    assert bank.theta_tilde[0].tobytes() == reference.theta_tilde.tobytes()
+    assert starts[0] == reference.session_starts
+    return starts
+
 
 _REPLICA_PARAMS = ProblemParams(d0=3, alpha=30.0, U=1.0, B=8.0, delta=0.05)
 _REPLICA_D = 20
@@ -175,43 +214,32 @@ _REPLICA_SEEDS = 60
 def square_replicas():
     """Run the 60-seed square-loss replica and collect per-run diagnostics."""
     params = _REPLICA_PARAMS
-    runs = []
-    for seed in range(_REPLICA_SEEDS):
-        env = make_square_env(_REPLICA_D, 3, 0.1, seed)
-        theta_star = env.theta_star_metrics
-        xs, ys = env.draw(_REPLICA_T)
-        state = saew_init(params, _REPLICA_D)
-        rec = {"max_g": 0.0, "ball_bad": 0, "l1_bad": 0, "event_ok": True}
-        prev_session = 0
-        for t in range(_REPLICA_T):
-            theta_hat = saew_estimators(state)[0]
-            ball = state.optimizer.ball
-            if not ball_contains(ball, theta_hat):
-                rec["ball_bad"] += 1
-            if float(np.sum(np.abs(theta_hat))) > 2.0 * params.U + 1e-9:
-                rec["l1_bad"] += 1
-            x, y = xs[t], ys[t]
+    envs = [make_square_env(_REPLICA_D, 3, 0.1, seed)
+            for seed in range(_REPLICA_SEEDS)]
+    max_g = np.zeros(len(envs))
+    ball_bad = np.zeros(len(envs), dtype=int)
+    l1_bad = np.zeros(len(envs), dtype=int)
+    event_ok = np.ones(len(envs), dtype=bool)
 
-            def oracle(th, x=x, y=y):
-                g = square_grad(th, x, y)
-                rec["max_g"] = max(rec["max_g"], float(np.max(np.abs(g))))
-                return g
+    def observe(t, bank, theta_hat, center, radius, grad, session):
+        ball_bad[:] += ~(np.sum(np.abs(theta_hat - center), axis=1)
+                         <= radius + BALL_TOL)
+        l1_bad[:] += np.sum(np.abs(theta_hat), axis=1) > 2.0 * params.U + 1e-9
+        np.maximum(max_g, np.max(np.abs(grad), axis=1), out=max_g)
+        for r in np.flatnonzero(bank.session != session).tolist():
+            # A cascade of closes shares one truncated center; the event
+            # must hold at every session index it opened.
+            dist = float(np.sum(np.abs(bank.eg.center[r]
+                                       - envs[r].theta_star_metrics)))
+            for i in range(session[r] + 1, bank.session[r] + 1):
+                if dist > params.U * 2.0 ** (-i / 2.0):
+                    event_ok[r] = False
 
-            saew_step(state, oracle)
-            if state.session != prev_session:
-                # A cascade of closes shares one truncated center; the
-                # event must hold at every session index it opened.
-                center = state.optimizer.ball.center
-                dist = float(np.sum(np.abs(center - theta_star)))
-                for i in range(prev_session + 1, state.session + 1):
-                    if dist > params.U * 2.0 ** (-i / 2.0):
-                        rec["event_ok"] = False
-                prev_session = state.session
-        starts = list(state.session_starts)
-        rec["lengths"] = [(j, starts[j + 1] - starts[j])
-                          for j in range(len(starts) - 1)]
-        runs.append(rec)
-    return runs
+    starts = _run_bank(params, envs, _REPLICA_T, square_grad, observe)
+    return [{"max_g": float(max_g[r]), "ball_bad": int(ball_bad[r]),
+             "l1_bad": int(l1_bad[r]), "event_ok": bool(event_ok[r]),
+             "lengths": [(j, s[j + 1] - s[j]) for j in range(len(s) - 1)]}
+            for r, s in enumerate(starts)]
 
 
 def test_predictions_stay_in_session_balls(square_replicas):
@@ -262,25 +290,22 @@ def test_session_length_law(square_replicas):
 
 def test_quantile_fast_rate_slope():
     T = 100_000
-    checkpoints = np.unique(np.geomspace(1, T, 220).astype(int))
+    checkpoints = set(np.geomspace(1, T, 220).astype(int).tolist())
     params = ProblemParams(d0=4, alpha=8.0, U=1.5, B=2.0, delta=0.05)
+    envs = [make_quantile_env(20, 3, 0.8, 0.1, seed) for seed in range(10)]
+    ts, risks = [], []
+
+    def observe(t, bank, *_):
+        if t in checkpoints:
+            ts.append(t)
+            risks.append([env.excess_risk_exact(theta)
+                          for env, theta in zip(envs, bank.theta_tilde)])
+
+    _run_bank(params, envs, T, lambda th, x, y: pinball_subgrad(th, x, y, 0.8),
+              observe)
+    ts_arr = np.array(ts, dtype=float)
     slopes = []
-    for seed in range(10):
-        env = make_quantile_env(20, 3, 0.8, 0.1, seed)
-        xs, ys = env.draw(T)
-        state = saew_init(params, 21)
-        ts, risks = [], []
-        ci = 0
-        for t in range(T):
-            x, y = xs[t], ys[t]
-            saew_step(state, lambda th: pinball_subgrad(th, x, y, 0.8))
-            if ci < len(checkpoints) and t + 1 == checkpoints[ci]:
-                risk = env.excess_risk_exact(saew_estimators(state)[1])
-                ts.append(t + 1)
-                risks.append(risk)
-                ci += 1
-        ts_arr = np.array(ts, dtype=float)
-        risks_arr = np.array(risks, dtype=float)
+    for risks_arr in np.array(risks, dtype=float).T:
         keep = (ts_arr >= T // 10) & (risks_arr > 1e-300)
         slope = np.polyfit(np.log(ts_arr[keep]), np.log(risks_arr[keep]), 1)[0]
         slopes.append(float(slope))

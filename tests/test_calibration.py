@@ -536,6 +536,58 @@ def test_frozen_row_check_memory_does_not_grow_with_the_history():
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
+# (d, Y, clamp) of the calibrate_grid benchmark config, the moving grid
+# and acceptance check 9's grid.
+_FLOOR_GRIDS = [(10, 2.0, (-2, 2)), (10, 2.0, (-2, 4)), (4, 2.0, (0, 0))]
+
+
+@pytest.fixture(scope="module", params=_FLOOR_GRIDS,
+                ids=["benchmark", "moving", "check9"])
+def floor_grids(request):
+    """For each grid j <= 12 of a config: its non-null columns, its delta,
+    whether each row's radius_floor falls strictly over the windows 1..4096,
+    and the all-windows frozen mask (floor >= U at every window up to L)
+    at each L = 2**k - 1 <= 4095."""
+    d, Y, clamp = request.param
+    histories = [2 ** k - 1 for k in range(13)]
+    fits = []
+    for j in range(13):
+        grid = build_grid(j, d, Y, clamp)
+        rows = np.flatnonzero(grid.d0)
+        columns = (np.minimum(grid.d0[rows], d), grid.alpha[rows],
+                   grid.U[rows], grid.B[rows])
+        delta_j = session_delta(0.05, j)
+        falling = np.empty(rows.size, dtype=bool)
+        frozen = np.empty((rows.size, len(histories)), dtype=bool)
+        for start in range(0, rows.size, 256):
+            chunk = slice(start, start + 256)
+            floor = radius_floor(*(c[chunk] for c in columns), delta_j, d,
+                                 np.arange(1, 4097))
+            falling[chunk] = np.all(np.diff(floor, axis=1) < 0.0, axis=1)
+            above = floor >= columns[2][chunk, None]
+            frozen[chunk] = np.transpose([np.all(above[:, :L], axis=1)
+                                          for L in histories])
+        fits.append((columns, delta_j, falling, dict(zip(histories,
+                                                         frozen.T))))
+    return d, fits
+
+
+def test_radius_floor_falls_strictly_with_the_window(floor_grids):
+    _, fits = floor_grids
+    for _, _, falling, _ in fits:
+        assert falling.all()
+
+
+def test_frozen_rows_equal_the_all_windows_definition(floor_grids):
+    # frozen_rows compares only the last window's floor; that equals
+    # "floor >= U at every window up to L", with no steps all frozen.
+    d, fits = floor_grids
+    for columns, delta_j, _, frozen in fits:
+        for L, expected in frozen.items():
+            np.testing.assert_array_equal(
+                frozen_rows(*columns, delta_j, d, L), expected)
+
+
 def test_nominal_sparsity_above_dimension_is_usable():
     # d=3 puts d0=4 in the grid; the wrapper runs it at effective d0=3.
     grid = build_grid(0, d=3, Y=1.0)
@@ -551,6 +603,8 @@ def test_calibration_init_validation():
         calibration_init(d=0, Y=1.0, delta=0.1)
     with pytest.raises(ValueError, match="Y"):
         calibration_init(d=2, Y=0.0, delta=0.1)
+    with pytest.raises(ValueError, match=r"^Y must be finite and > 0, got "):
+        calibration_init(d=2, Y=math.inf, delta=0.1)
     with pytest.raises(ValueError, match="delta"):
         calibration_init(d=2, Y=1.0, delta=0.0)
 

@@ -658,7 +658,7 @@ def test_nonfinite_gradient_names_seed_and_step(tmp_path, seeds):
         with pytest.raises(ValueError, match=r"^seed 1: the gradient at step "
                                              r"3124 is not finite$"):
             run_experiment(cfg)
-    assert list(Path(cfg.outdir).iterdir()) == []
+    assert not Path(cfg.outdir).exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -666,7 +666,7 @@ def test_run_too_short_to_summarize_writes_nothing(tmp_path, workers):
     cfg = _config(tmp_path, T=1, seeds=(1, 2))
     with pytest.raises(ValueError, match=r"^T=1: need at least two points"):
         run_experiment(cfg, workers=workers)
-    assert list(Path(cfg.outdir).iterdir()) == []
+    assert not Path(cfg.outdir).exists()
 
 
 def test_run_reads_the_stream_only_in_blocks(tmp_path, monkeypatch):
@@ -1019,6 +1019,25 @@ def test_cli_calibrate_budget_exhaustion_exit_2(tmp_path, capsys):
     cfg.to_ini(ini)
     assert main(["calibrate", "--config", str(ini), "--budget", "10"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("run", dict(d=5, d0=2, algorithm="saew", T=1)),
+    # The default rda_gamma diverges at d=200 (see above).
+    ("run", dict(d=200, d0=5, algorithm="rda", T=10000)),
+    ("calibrate", dict(d=4, d0=1, algorithm="calibrate", T=4000, cal_Y=2.0,
+                       cal_budget=1000)),
+], ids=["T=1", "non-finite gradient", "over budget"])
+def test_cli_run_that_fails_leaves_no_outdir(tmp_path, capsys, command,
+                                             fields):
+    cfg = ExperimentConfig(env="square", noise_sd=0.1, seeds=(1,),
+                           outdir=str(tmp_path / "out"), **fields)
+    ini = tmp_path / "run.ini"
+    cfg.to_ini(ini)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not Path(cfg.outdir).exists()
 
 
 def test_cli_calibrate_overflowing_loss_exit_2(tmp_path, capsys):
