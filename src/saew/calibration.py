@@ -486,7 +486,7 @@ def run_calibration(draw: Callable[[int], tuple[np.ndarray, np.ndarray]],
         raise BudgetExceededError(
             f"projected calibration cost {cost} candidate-steps exceeds "
             f"budget {budget}; shrink the horizon, clamp the exponent "
-            f"ranges, or raise --budget")
+            f"ranges, or raise cal_budget")
     xs, ys = draw(T)
     state = calibration_init(d, Y, delta, exponent_clamp)
     for t in range(T):

@@ -1,4 +1,7 @@
-"""Command-line entry point: run, summarize, plots, calibrate.
+"""Command-line entry point: run, summarize, plots.
+
+A config with ``algorithm = calibrate`` runs the calibration loop through
+``run``.
 
 Exit codes: 0 success, 2 configuration error (the message names the
 offending key), 3 I/O error.
@@ -16,7 +19,6 @@ from saew.harness import (
     ExperimentConfig,
     emit_plots,
     load_run_records,
-    run_calibrate,
     run_experiment,
     summarize,
     write_summary,
@@ -25,6 +27,13 @@ from saew.harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,9 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True, help="INI config file")
     run_p.add_argument("--out", help="override the configured output dir")
-    run_p.add_argument("--trace-bounds", action="store_true",
-                       help="append per-step bound columns to wrapper CSVs")
-    run_p.add_argument("--workers", type=int, default=1,
+    run_p.add_argument("--workers", type=_positive_int, default=1,
                        help="processes for multi-seed runs (default 1)")
 
     sum_p = sub.add_parser("summarize",
@@ -48,34 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     plot_p = sub.add_parser("plots",
                             help="emit gnuplot scripts for a directory")
     plot_p.add_argument("dir", help="directory holding summary.csv")
-
-    cal_p = sub.add_parser("calibrate",
-                           help="run the parameter-free calibration loop")
-    cal_p.add_argument("--config", required=True, help="INI config file")
-    cal_p.add_argument("--Y", type=float, dest="Y",
-                       help="override the response clipping bound")
-    cal_p.add_argument("--delta", type=float,
-                       help="override the confidence level")
-    cal_p.add_argument("--budget", type=int,
-                       help="override the compute budget (candidate-steps)")
-    cal_p.add_argument("--out", help="override the configured output dir")
     return parser
 
 
-def _load_config(path: str, **overrides) -> ExperimentConfig:
-    config = ExperimentConfig.from_ini(path)
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if changes:
-        config = dataclasses.replace(config, **changes)
-        config.validate()
-    return config
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(
-        args.config,
-        outdir=args.out,
-        trace_bounds=True if args.trace_bounds else None)
+    config = ExperimentConfig.from_ini(args.config)
+    if args.out is not None:
+        config = dataclasses.replace(config, outdir=args.out)
     paths = run_experiment(config, workers=args.workers)
     print(f"wrote {len(paths)} files under {config.outdir}")
     return EXIT_OK
@@ -99,21 +85,6 @@ def _cmd_plots(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    config = _load_config(
-        args.config,
-        cal_Y=args.Y,
-        delta=args.delta,
-        cal_budget=args.budget,
-        outdir=args.out)
-    if config.algorithm != "calibrate":
-        config = dataclasses.replace(config, algorithm="calibrate")
-        config.validate()
-    paths = run_calibrate(config)
-    print(f"wrote {len(paths)} files under {config.outdir}")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI dispatcher; returns the process exit code."""
     parser = _build_parser()
@@ -122,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "summarize": _cmd_summarize,
         "plots": _cmd_plots,
-        "calibrate": _cmd_calibrate,
     }
     try:
         return handlers[args.command](args)

@@ -594,18 +594,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     The seeds run as the rows of one loop; with ``workers > 1`` each of
     that many processes runs the loop on a contiguous slice of the seed
     list.  Rows are independent, so the output is identical either way.
+    The summary is made from the written CSVs, read back in seed order,
+    so it has the bytes ``saew summarize`` writes for them.
 
     Returns the written file paths (per-seed CSVs, then summary files).
 
     Raises:
         ConfigError: invalid configuration.
-        ValueError: a non-finite gradient, or a run too short to summarize
-            (``T = 1``); the outdir is not made.
+        ValueError: ``workers < 1``, a non-finite gradient, or a run too
+            short to summarize (``T = 1``); the outdir is not made.
         OSError: unwritable output directory.
     """
     config.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if config.algorithm == "calibrate":
         return run_calibrate(config)
+    # A run too short to summarize fails before any seed runs.
+    _slope_window(np.arange(1.0, config.T + 1.0))
     if workers > 1:
         # Imported here: it loads multiprocessing, which a one-process
         # run never uses.
@@ -619,17 +625,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Path]:
     else:
         records = _run_seeds(config, config.seeds)
 
-    # Summarized before the outdir is made: a run it rejects (T = 1)
-    # leaves nothing behind.
-    summary = summarize(records)
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for record in records:
-        path = outdir / _seed_csv_name(record.seed)
+    paths = [outdir / _seed_csv_name(seed) for seed in config.seeds]
+    for record, path in zip(records, paths):
         record.to_csv(path)
-        paths.append(path)
+    del records  # not held twice: the summary reads the CSVs back
     config.to_ini(outdir / "config.ini")
+    summary = summarize([RunRecord.from_csv(outdir / _seed_csv_name(seed))
+                         for seed in sorted(config.seeds)])
     paths.extend(write_summary(summary, outdir))
     return paths
 
@@ -701,6 +705,22 @@ class Summary:
     finals: list[SeedScalars]
 
 
+def _slope_window(t: np.ndarray, t_min: float | None = None) -> np.ndarray:
+    """The mask of the points ``t >= t_min`` (default ``T/2``) a slope
+    is fitted over.
+
+    Raises:
+        ValueError: fewer than two points in the window.
+    """
+    if t_min is None:
+        t_min = float(t[-1]) / 2.0
+    mask = t >= t_min
+    if int(mask.sum()) < 2:
+        raise ValueError(f"T={t[-1]:g}: need at least two points to fit a "
+                         f"slope, {int(mask.sum())} at t >= {t_min:g}")
+    return mask
+
+
 def loglog_slope(t: np.ndarray, values: np.ndarray,
                  t_min: float | None = None) -> float:
     """OLS slope of ``log(values)`` against ``log(t)``.
@@ -713,12 +733,7 @@ def loglog_slope(t: np.ndarray, values: np.ndarray,
     """
     t = np.asarray(t, float)
     values = np.asarray(values, float)
-    if t_min is None:
-        t_min = float(t[-1]) / 2.0
-    mask = t >= t_min
-    if int(mask.sum()) < 2:
-        raise ValueError(f"T={t[-1]:g}: need at least two points to fit a "
-                         f"slope, {int(mask.sum())} at t >= {t_min:g}")
+    mask = _slope_window(t, t_min)
     log_t = np.log(t[mask])
     log_v = np.log(np.maximum(values[mask], _TINY))
     slope, _ = np.polyfit(log_t, log_v, 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Callable, Iterator
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy.random  # noqa: F401
 
 from saew.core import DenseVector, Environment
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# The standard normal's density, CDF and quantile (scalar math).
+_NORMAL = NormalDist()
 
 # Each environment's Monte-Carlo holdouts (~17 MB each at d ~ 20) by size,
 # dropped with it; an entry is (xt, y, loss_star, n): see _holdout.
@@ -129,86 +131,6 @@ def pinball_subgrad(theta: DenseVector, x: DenseVector,
     return -(alpha_q - (u <= 0.0))[..., None] * x
 
 
-# ============================================================
-# Gaussian helpers (scalar, fast)
-# ============================================================
-
-def _phi(z: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-def _Phi(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-# Coefficients of Cephes' ndtri, highest degree first; the Q tables omit
-# their leading 1.  P0/Q0 serve |p - 0.5| <= 0.5 - e^-2, in p - 0.5; the
-# tails are in z = 1/x with x = sqrt(-2 log p): P1/Q1 for 2 <= x < 8,
-# P2/Q2 for x >= 8.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # e^-2
-# Cephes' sqrt(2 pi), one ulp above math.sqrt(2 * math.pi).
-_NDTRI_S2PI = 2.50662827463100050242e0
-
-
-def _scaled_ratio(z: float, p: tuple, q: tuple) -> float:
-    """``z * P(z) / Q(z)`` by Horner's rule, with ``Q``'s leading 1
-    implied (Cephes' ``z * polevl(z, P) / p1evl(z, Q)``)."""
-    num = p[0]
-    for c in p[1:]:
-        num = num * z + c
-    den = z + q[0]
-    for c in q[1:]:
-        den = den * z + c
-    return z * num / den
-
-
-def _ndtri(p: float) -> float:
-    """Standard normal quantile at level ``0 < p < 1``.
-
-    Cephes' ``ndtri``, its operations in their order, so the value has the
-    bits of ``scipy.special.ndtri(p)``.
-    """
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y -= 0.5
-        x = y + y * _scaled_ratio(y * y, _NDTRI_P0, _NDTRI_Q0)
-        return x * _NDTRI_S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    x = (x - math.log(x) / x) - (
-        _scaled_ratio(z, _NDTRI_P1, _NDTRI_Q1) if x < 8.0
-        else _scaled_ratio(z, _NDTRI_P2, _NDTRI_Q2))
-    return x if upper else -x
-
-
 def gaussian_pinball_risk(mu: float, tau: float, alpha_q: float) -> float:
     """Expected pinball loss of ``u ~ N(mu, tau^2)`` at level ``alpha_q``.
 
@@ -220,7 +142,7 @@ def gaussian_pinball_risk(mu: float, tau: float, alpha_q: float) -> float:
     if tau == 0.0:
         return mu * (alpha_q - (1.0 if mu < 0.0 else 0.0))
     z = mu / tau
-    return alpha_q * mu - mu * _Phi(-z) + tau * _phi(z)
+    return alpha_q * mu - mu * _NORMAL.cdf(-z) + tau * _NORMAL.pdf(z)
 
 
 # ============================================================
@@ -332,8 +254,8 @@ def truncated_normal_variance(c: float) -> float:
     """Variance of a standard normal truncated to ``[-c, c]``."""
     if c <= 0.0:
         raise ValueError("truncation level must be > 0")
-    z = 2.0 * _Phi(c) - 1.0
-    return 1.0 - 2.0 * c * _phi(c) / z
+    z = 2.0 * _NORMAL.cdf(c) - 1.0
+    return 1.0 - 2.0 * c * _NORMAL.pdf(c) / z
 
 
 def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
@@ -364,8 +286,8 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
     theta_star = _sparse_unit_l1_parameter(
         d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
     v = truncated_normal_variance(x_bound)
-    lo_x = _Phi(-x_bound)
-    lo_e = _Phi(-noise_bound_sds)
+    lo_x = _NORMAL.cdf(-x_bound)
+    lo_e = _NORMAL.cdf(-noise_bound_sds)
 
     def sample(rng_x: np.random.Generator, rng_e: np.random.Generator,
                n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,9 +320,9 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
     with Gaussian design and noise), but covariate vectors carry a leading
     constant 1, so the ambient dimension is ``d + 1``.  The risk minimizer
     shifts the intercept by the noise's ``alpha_q``-quantile:
-    ``theta_star = (noise_sd * ndtri(alpha_q), theta_base)``, and that
-    shifted vector is the one exposed for metrics; ``ndtri`` is
-    :func:`_ndtri`, which has the bits of ``scipy.special.ndtri``.
+    ``theta_star = (noise_sd * Phi^-1(alpha_q), theta_base)``, and that
+    shifted vector is the one exposed for metrics; ``Phi^-1`` is
+    ``statistics.NormalDist().inv_cdf``.
 
     The exact excess risk uses the Gaussian closed form: the residual at
     ``theta = (t0, tv)`` is ``N(-t0 + q0, noise_sd^2 + ||theta_base - tv||^2)``
@@ -418,7 +340,7 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
         raise ValueError("noise_sd must be >= 0")
     theta_base = _sparse_unit_l1_parameter(
         d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
-    q0 = noise_sd * _ndtri(alpha_q)
+    q0 = noise_sd * _NORMAL.inv_cdf(alpha_q)
     theta_star = np.concatenate(([q0], theta_base))
     min_risk = gaussian_pinball_risk(-q0, noise_sd, alpha_q)
 

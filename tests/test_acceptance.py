@@ -41,7 +41,7 @@ from saew.losses import (
     square_loss,
     truncated_normal_variance,
 )
-from saew.subroutine import eg_certificate, eg_init
+from saew.subroutine import EGBank, eg_certificate, eg_init
 
 # Each subroutine warns the first time a gradient exceeds the declared
 # sup-norm bound; several replicas below run deliberately close to that
@@ -323,23 +323,36 @@ def test_acceleration_beats_subroutine():
     T, n_seeds = 10_000, 10
     d, U, B = 2, 2.0, 4.0
     params = ProblemParams(d0=2, alpha=48.0, U=U, B=B, delta=0.1)
-    cums_saew = np.empty((n_seeds, T))
-    cums_eg = np.empty((n_seeds, T))
-    for seed in range(n_seeds):
-        env = make_square_env(d, d, 0.3, seed)
-        xs, ys = env.draw(T)
-        state = saew_init(params, d)
-        eg_state = eg_init(L1Ball(np.zeros(d), U), B)
-        cum_s = cum_e = 0.0
-        for t in range(T):
-            x, y = xs[t], ys[t]
-            cum_s += env.excess_risk_exact(saew_estimators(state)[0])
-            theta_eg = eg_state.predict()
-            cum_e += env.excess_risk_exact(theta_eg)
-            saew_step(state, lambda th: square_grad(th, x, y))
-            eg_state = eg_state.update(square_grad(theta_eg, x, y))
-            cums_saew[seed, t] = cum_s
-            cums_eg[seed, t] = cum_e
+    envs = [make_square_env(d, d, 0.3, seed) for seed in range(n_seeds)]
+    # Each step's predictions, one row per seed, scored after the runs.
+    saew_preds = np.empty((n_seeds, T, d))
+    eg_preds = np.empty((n_seeds, T, d))
+
+    def observe(t, bank, theta_hat, *_):
+        saew_preds[:, t - 1] = theta_hat
+
+    _run_bank(params, envs, T, square_grad, observe)
+
+    # The plain ball optimizer as the rows of one EGBank; seed 0 also runs
+    # through EGState and must predict its row's bits at every step.
+    eg = EGBank(np.zeros((n_seeds, d)), np.full(n_seeds, U),
+                np.full(n_seeds, B), [f"seed {env.seed}" for env in envs])
+    reference = eg_init(L1Ball(np.zeros(d), U), B)
+    draws = [env.draw(T) for env in envs]
+    xs = np.stack([x for x, _ in draws], axis=1)
+    ys = np.stack([y for _, y in draws], axis=1)
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        theta_eg, theta_ref = eg.prediction, reference.predict()
+        assert theta_eg[0].tobytes() == theta_ref.tobytes(), t
+        eg_preds[:, t] = theta_eg
+        eg.update(square_grad(theta_eg, x, y))
+        reference.update(square_grad(theta_ref, x[0], y[0]))
+
+    # Running sums in step order, as a scalar loop adds them.
+    cums_saew, cums_eg = (
+        np.array([np.add.accumulate(env.excess_risk_exact(rows))
+                  for env, rows in zip(envs, preds)])
+        for preds in (saew_preds, eg_preds))
     med_saew = np.median(cums_saew, axis=0)
     med_eg = np.median(cums_eg, axis=0)
     ratio = med_saew[-1] / med_eg[-1]

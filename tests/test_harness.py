@@ -554,24 +554,10 @@ def test_block_scoring_matches_per_step_reference_exact(
     _assert_same_bytes(run_one_seed(cfg, 2).rows, reference)
 
 
-class _RecordsCaptured(Exception):
-    """Raised by the summarize spy once run_experiment has its records."""
-
-
-def _experiment_records(cfg, monkeypatch):
-    """The run records ``run_experiment(cfg)`` computes, taken where it
-    hands them to ``summarize`` (which needs two steps or more)."""
-    captured = []
-
-    def spy(records):
-        captured.extend(records)
-        raise _RecordsCaptured
-
-    with monkeypatch.context() as patch:
-        patch.setattr(saew.harness, "summarize", spy)
-        with pytest.raises(_RecordsCaptured):
-            run_experiment(cfg)
-    return captured
+def _experiment_records(cfg):
+    """The full-precision run records ``run_experiment(cfg)`` writes, from
+    the one loop it runs over the seeds."""
+    return saew.harness._run_seeds(cfg, cfg.seeds)
 
 
 # Seed rows against the single-seed per-step reference: config overrides
@@ -608,25 +594,25 @@ def test_seed_rows_match_per_step_reference(tmp_path, monkeypatch, case, T):
     monkeypatch.setattr(saew.harness, "_BLOCK", 8)
     overrides, seeds = SEED_ROW_CASES[case]
     cfg = _config(tmp_path, T=T, seeds=seeds, **overrides)
-    records = _experiment_records(cfg, monkeypatch)
+    records = _experiment_records(cfg)
     assert [r.seed for r in records] == list(seeds)
     for record in records:
         reference, _, _ = _per_step_reference(cfg, record.seed)
         _assert_same_bytes(record.rows, reference)
 
 
-def test_warnings_fire_once_per_seed_and_session(tmp_path, monkeypatch):
+def test_warnings_fire_once_per_seed_and_session(tmp_path):
     cfg = _config(tmp_path, d=20, d0=3, noise_sd=0.2, alpha=30.0, B=0.5,
                   T=600, seeds=(1, 2, 3))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = _experiment_records(cfg, monkeypatch)
+        records = _experiment_records(cfg)
         over_b = list(caught)
         eg_cfg = dataclasses.replace(cfg, algorithm="eg")
-        _experiment_records(eg_cfg, monkeypatch)
+        _experiment_records(eg_cfg)
         eg_over_b = caught[len(over_b):]
         d0_cfg = dataclasses.replace(cfg, saew_d0=0, B=100.0)
-        _experiment_records(d0_cfg, monkeypatch)
+        _experiment_records(d0_cfg)
         degenerate = caught[len(over_b) + len(eg_over_b):]
         state = run_calibration(build_environment(cfg, 1).draw, T=64, d=20,
                                 Y=2.0, delta=0.05, exponent_clamp=(-1, 1))
@@ -920,6 +906,64 @@ def test_cli_run_summarize_plots_happy_path(tmp_path, capsys):
     assert (Path(cfg.outdir) / "plot_l2.gp").exists()
 
 
+def test_cli_run_summary_is_what_summarize_writes(tmp_path):
+    # Seeds out of order: summarize reads the CSVs back in seed order.
+    cfg = _config(tmp_path, T=300, seeds=(3, 1, 2))
+    ini = tmp_path / "cfg.ini"
+    cfg.to_ini(ini)
+    assert main(["run", "--config", str(ini)]) == 0
+    out = Path(cfg.outdir)
+    written = {name: (out / name).read_bytes()
+               for name in ("summary.csv", "finals.csv")}
+    assert main(["summarize", cfg.outdir]) == 0
+    for name, data in written.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_run_summarizes_only_the_seeds_it_ran(tmp_path):
+    cfg = _config(tmp_path, T=20, seeds=(1, 2))
+    run_experiment(dataclasses.replace(cfg, seeds=(1, 2, 3)))
+    run_experiment(cfg)
+    finals = (Path(cfg.outdir) / "finals.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in finals[1:]] == ["1", "2"]
+
+
+def test_cli_calibrate_is_an_unknown_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--config", str(tmp_path / "cal.ini")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_exit_2(tmp_path, capsys, workers):
+    cfg = _config(tmp_path, T=10, seeds=(1,))
+    ini = tmp_path / "cfg.ini"
+    cfg.to_ini(ini)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(ini), "--workers", workers])
+    assert exc.value.code == 2
+    assert f"argument --workers: must be >= 1, got {workers}" in (
+        capsys.readouterr().err)
+    assert not Path(cfg.outdir).exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("algorithm", ["saew", "calibrate"])
+def test_run_experiment_rejects_workers_below_one(tmp_path, monkeypatch,
+                                                  workers, algorithm):
+    def ran(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(saew.harness, "_run_seeds", ran)
+    monkeypatch.setattr(saew.harness, "run_calibration", ran)
+    cfg = _config(tmp_path, algorithm=algorithm)
+    with pytest.raises(ValueError, match=rf"^workers must be >= 1, "
+                                         rf"got {workers}$"):
+        run_experiment(cfg, workers=workers)
+    assert not Path(cfg.outdir).exists()
+
+
 def test_cli_out_override(tmp_path):
     cfg = _config(tmp_path, T=10, seeds=(1,))
     ini = tmp_path / "cfg.ini"
@@ -930,11 +974,11 @@ def test_cli_out_override(tmp_path):
     assert not Path(cfg.outdir).exists()
 
 
-def test_cli_trace_bounds_flag(tmp_path):
-    cfg = _config(tmp_path, T=10, seeds=(1,))
+def test_cli_trace_bounds_key(tmp_path):
+    cfg = _config(tmp_path, T=10, seeds=(1,), trace_bounds=True)
     ini = tmp_path / "cfg.ini"
     cfg.to_ini(ini)
-    assert main(["run", "--config", str(ini), "--trace-bounds"]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
     record = RunRecord.from_csv(Path(cfg.outdir) / "run_seed1.csv")
     assert "err_t" in record.columns
 
@@ -975,7 +1019,7 @@ def test_cli_calibrate_happy_path_and_schema(tmp_path):
                            cal_clamp_lo=-1, cal_clamp_hi=1)
     ini = tmp_path / "cal.ini"
     cfg.to_ini(ini)
-    assert main(["calibrate", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
     lines = (Path(cfg.outdir) / "calibration_seed1.csv").read_text().splitlines()
     assert lines[0] == "j,grid_size,best_candidate,meta_risk,best_risk"
     assert len(lines) == 1 + 4  # sessions 0..3 close within T=16
@@ -1014,28 +1058,28 @@ def test_calibration_csv_quotes_candidate_labels(tmp_path, monkeypatch):
 def test_cli_calibrate_budget_exhaustion_exit_2(tmp_path, capsys):
     cfg = ExperimentConfig(env="square", d=4, d0=1, noise_sd=0.1,
                            algorithm="calibrate", T=2 ** 10, seeds=(1,),
-                           outdir=str(tmp_path / "cal"), cal_Y=2.0)
+                           outdir=str(tmp_path / "cal"), cal_Y=2.0,
+                           cal_budget=10)
     ini = tmp_path / "cal.ini"
     cfg.to_ini(ini)
-    assert main(["calibrate", "--config", str(ini), "--budget", "10"]) == 2
+    assert main(["run", "--config", str(ini)]) == 2
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, fields", [
-    ("run", dict(d=5, d0=2, algorithm="saew", T=1)),
+@pytest.mark.parametrize("fields", [
+    dict(d=5, d0=2, algorithm="saew", T=1),
     # The default rda_gamma diverges at d=200 (see above).
-    ("run", dict(d=200, d0=5, algorithm="rda", T=10000)),
-    ("calibrate", dict(d=4, d0=1, algorithm="calibrate", T=4000, cal_Y=2.0,
-                       cal_budget=1000)),
+    dict(d=200, d0=5, algorithm="rda", T=10000),
+    dict(d=4, d0=1, algorithm="calibrate", T=4000, cal_Y=2.0,
+         cal_budget=1000),
 ], ids=["T=1", "non-finite gradient", "over budget"])
-def test_cli_run_that_fails_leaves_no_outdir(tmp_path, capsys, command,
-                                             fields):
+def test_cli_run_that_fails_leaves_no_outdir(tmp_path, capsys, fields):
     cfg = ExperimentConfig(env="square", noise_sd=0.1, seeds=(1,),
                            outdir=str(tmp_path / "out"), **fields)
     ini = tmp_path / "run.ini"
     cfg.to_ini(ini)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", str(ini)]) == 2
+        assert main(["run", "--config", str(ini)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not Path(cfg.outdir).exists()
 
@@ -1046,7 +1090,7 @@ def test_cli_calibrate_overflowing_loss_exit_2(tmp_path, capsys):
                            outdir=str(tmp_path / "cal"), cal_Y=1.0)
     ini = tmp_path / "cal.ini"
     cfg.to_ini(ini)
-    assert main(["calibrate", "--config", str(ini)]) == 2
+    assert main(["run", "--config", str(ini)]) == 2
     assert re.match(r"config error: step 1: the squared loss of y=.* "
                     r"overflows\n$", capsys.readouterr().err)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from saew.cli import main
 from saew.harness import ExperimentConfig, run_experiment
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -86,3 +87,13 @@ def test_saew_output_matches_to_rounding(tmp_path, name):
         for column, g, w in zip(header, got_fields, want_fields):
             assert math.isclose(float(g), float(w), rel_tol=1e-9), \
                 f"line {line}, {column}: {g} != {w}"
+
+
+def test_cli_run_writes_the_calibration_fixture(tmp_path):
+    config = ExperimentConfig(seeds=(SEED,), outdir=str(tmp_path / "out"),
+                              **CONFIGS["calibrate_grid"])
+    ini = tmp_path / "cal.ini"
+    config.to_ini(ini)
+    assert main(["run", "--config", str(ini)]) == 0
+    got = (tmp_path / "out" / f"calibration_seed{SEED}.csv").read_text()
+    assert got == fixture_csv("calibrate_grid")
