@@ -1,12 +1,13 @@
 """Closed-form confidence constants and risk-bound evaluators.
 
-Pure functions shared by the acceleration engine, the tests, and the
-harness's bound tracing: per-session failure probabilities, the inflated
-regret constants ``a'``/``b'`` used at a given window length, the session
-error and confidence-radius formulas, whole-horizon risk bounds (single
-estimator and cumulative), session-length laws, and the martingale
-inequalities behind them (a Poisson-type bound for nonnegative increments
-and a regret-to-risk conversion for bounded-gradient sequences).
+Pure functions shared by the acceleration engine and the acceptance
+checks, which evaluate each one on a run: per-session failure
+probabilities, the inflated regret constants ``a'``/``b'`` used at a
+given window length, the session error and confidence-radius formulas,
+whole-horizon risk bounds (single estimator and cumulative), session-length
+laws, and the martingale inequalities behind them (a Poisson-type bound for
+nonnegative increments and a regret-to-risk conversion for bounded-gradient
+sequences).
 
 Everything here is deterministic.  ``saew_step`` calls these functions at
 run time; ``WrapperBank`` inlines ``a'``, ``b'``, ``err`` and ``eps`` as
@@ -16,7 +17,6 @@ array expressions in the same order, and tests check its bits against
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
@@ -53,28 +53,6 @@ def _loglog_horizon_term(T: float) -> float:
     if T < 1.0:
         raise ValueError(f"T must be >= 1, got {T}")
     return math.log(1.0 + 3.0 * math.log(T))
-
-
-# ============================================================
-# Domain types
-# ============================================================
-
-@dataclasses.dataclass(frozen=True)
-class Theorem3Bound:
-    """Square-loss risk bound value plus its inflated constants.
-
-    ``up_to_constant`` flags that the guarantee holds up to an absolute
-    multiplicative constant: the evaluator is meant for shape/scaling
-    regression tests, not certified coverage.
-    """
-
-    value: float
-    a_prime: float
-    c_prime: float
-    up_to_constant: bool = True
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ============================================================
@@ -232,50 +210,6 @@ def theorem2_bound(params: ProblemParams, cert: RegretCertificate,
     return min(slow, fast)
 
 
-def theorem3_a_prime(a: float, T: float, delta: float) -> float:
-    """Square-loss aggregate ``a' = 2a + 2*sqrt(6*log(1+3logT) + 2*log(2/delta))``."""
-    return 2.0 * a + 2.0 * math.sqrt(6.0 * _loglog_horizon_term(T)
-                                     + 2.0 * math.log(2.0 / delta))
-
-
-def theorem3_c_prime(a: float, b: float, T: float, delta: float) -> float:
-    """Square-loss aggregate ``c' = 1 + 3b + 4a^2 + 9*log(1+3logT) + 3*log(2/delta)``."""
-    return 1.0 + 3.0 * b + 4.0 * a * a + 9.0 * _loglog_horizon_term(T) \
-        + 3.0 * math.log(2.0 / delta)
-
-
-def theorem3_bound(X: float, Y: float, U: float, d0: int, alpha: float,
-                   sigma: float, cert: RegretCertificate, T: int,
-                   delta: float) -> Theorem3Bound:
-    """Excess-risk bound for square loss with bounded design and responses.
-
-    For designs with ``||x||_inf <= X``, responses ``|y| <= Y``, and noise
-    level ``sigma``, using the gradient bound ``2X(Y + 2XU)``.  The result
-    holds up to an absolute multiplicative constant (``up_to_constant``),
-    so use it for scaling regressions, not coverage claims.
-
-    Raises:
-        ValueError: on nonpositive scale parameters, ``d0 < 1``, ``T < 1``,
-            or ``delta`` outside (0, 1).
-    """
-    if min(X, Y, U, alpha) <= 0.0 or sigma < 0.0:
-        raise ValueError("X, Y, U, alpha must be > 0 and sigma >= 0")
-    if d0 < 1:
-        raise ValueError("d0 must be >= 1")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    _check_delta(delta)
-    ap = theorem3_a_prime(cert.a, T, delta)
-    cp = theorem3_c_prime(cert.a, cert.b, T, delta)
-    yxu = Y + X * U
-    slow = U * X * (sigma * ap / math.sqrt(T) + yxu * cp / T) \
-        + alpha * U * U / (d0 * T)
-    fast = (X * X * d0 / alpha) * (sigma * sigma * ap * ap / T
-                                   + yxu * yxu * cp * cp / (T * T)) \
-        + alpha * U * U / (d0 * T * T)
-    return Theorem3Bound(value=min(slow, fast), a_prime=ap, c_prime=cp)
-
-
 def gradient_bound_square(X: float, Y: float, U: float) -> float:
     """Sup-norm gradient bound ``2X(Y + 2XU)`` for square loss on the 2U-ball.
 
@@ -355,10 +289,9 @@ def regret_to_risk_bound(epsilon: float, B: float, grad_sq_sum: float,
         epsilon * sqrt(2 * log((2 + log(T/2)) / (2*delta)) * grad_sq_sum)
         + (1/2 + log(1 + log(T/2)/2) - log(delta)) * epsilon * B
 
-    with ``log(T/2)`` floored at 0 (so the bound is defined at ``T = 1``).
-    At ``(a, b) = (0, 0)`` this is exactly
-    ``epsilon * err_bound(grad_sq_sum, a_prime(0, T, delta),
-    b_prime(0, T, delta), B)`` — the pure martingale part.
+    with ``log(T/2)`` floored at 0 (so the bound is defined at ``T = 1``):
+    the session error at ``(a, b) = (0, 0)`` with the window constants of
+    a ``T``-step window, scaled by ``epsilon`` — the pure martingale part.
 
     Raises:
         ValueError: on ``T < 1``, bad delta, or negative inputs.
@@ -368,9 +301,5 @@ def regret_to_risk_bound(epsilon: float, B: float, grad_sq_sum: float,
         raise ValueError(f"T must be >= 1, got {T}")
     if epsilon < 0.0 or B < 0.0 or grad_sq_sum < 0.0:
         raise ValueError("epsilon, B, grad_sq_sum must be >= 0")
-    log_t2 = max(0.0, math.log(T / 2.0))
-    first = epsilon * math.sqrt(
-        2.0 * math.log((2.0 + log_t2) / (2.0 * delta)) * grad_sq_sum)
-    second = (0.5 + math.log(1.0 + 0.5 * log_t2) - math.log(delta)) \
-        * epsilon * B
-    return first + second
+    return epsilon * err_bound(grad_sq_sum, a_prime(0.0, T, delta),
+                               b_prime(0.0, T, delta), B)

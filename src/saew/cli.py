@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sum_p = sub.add_parser("summarize",
                            help="aggregate run CSVs in a directory")
-    sum_p.add_argument("dir", help="directory holding run_seed*.csv")
+    sum_p.add_argument("dir", help="run directory: its config.ini names "
+                       "the seeds whose run_seed<k>.csv are read")
 
     plot_p = sub.add_parser("plots",
                             help="emit gnuplot scripts for a directory")

@@ -143,6 +143,14 @@ class ExperimentConfig:
     cal_clamp_lo: int | None = None
     cal_clamp_hi: int | None = None
 
+    def __post_init__(self) -> None:
+        # Float fields hold floats, as from_ini reads them back, so a
+        # config hashes as its config.ini does.
+        for field in dataclasses.fields(self):
+            if field.type == "float":  # annotations are strings here
+                object.__setattr__(self, field.name,
+                                   float(getattr(self, field.name)))
+
     # ---- validation ----------------------------------------------------
 
     def validate(self) -> None:
@@ -810,22 +818,47 @@ def write_summary(summary: Summary, outdir: str | Path) -> list[Path]:
     return [summary_path, finals_path]
 
 
-def _run_csv_paths(outdir: Path) -> list[Path]:
-    """The per-seed run CSVs under ``outdir`` sorted by seed; at least one."""
-    paths = sorted(outdir.glob("run_seed*.csv"),
-                   key=lambda p: int(p.stem.removeprefix("run_seed")))
-    if not paths:
-        raise ValueError(f"no run_seed*.csv files under {outdir}")
-    return paths
+def _run_csv_paths(outdir: Path) -> tuple[str, list[Path]]:
+    """The config hash and the run CSVs, in seed order, of the seeds that
+    ``outdir/config.ini`` lists.
+
+    Raises:
+        ValueError: no ``config.ini``, or a listed seed without its CSV.
+    """
+    ini = outdir / "config.ini"
+    if not ini.exists():
+        raise ValueError(f"{outdir} has no config.ini; run the experiment "
+                         "first")
+    config = ExperimentConfig.from_ini(ini)
+    paths = []
+    for seed in sorted(config.seeds):
+        path = outdir / _seed_csv_name(seed)
+        if not path.exists():
+            raise ValueError(f"{path} is missing: config.ini lists seed "
+                             f"{seed}")
+        paths.append(path)
+    return config_hash(config.as_mapping()), paths
+
+
+def _read_run(path: Path, hash_: str) -> RunRecord:
+    """The run record at ``path``, checked to be written under ``hash_``."""
+    record = RunRecord.from_csv(path)
+    if record.config_hash != hash_:
+        raise ValueError(f"{path} has config_hash {record.config_hash!r}, "
+                         f"config.ini has {hash_!r}")
+    return record
 
 
 def load_run_records(outdir: str | Path) -> list[RunRecord]:
-    """Load every per-seed run CSV under ``outdir``, sorted by seed.
+    """Load the run CSVs of the seeds ``outdir/config.ini`` lists, sorted
+    by seed; CSVs of other seeds in the directory are not read.
 
     Raises:
-        ValueError: no run CSVs present.
+        ValueError: no ``config.ini``, a listed seed's CSV missing, empty
+            or written under another config.
     """
-    return [RunRecord.from_csv(p) for p in _run_csv_paths(Path(outdir))]
+    hash_, paths = _run_csv_paths(Path(outdir))
+    return [_read_run(path, hash_) for path in paths]
 
 
 # ============================================================
@@ -853,15 +886,16 @@ def emit_plots(outdir: str | Path) -> list[Path]:
       start ``t_i <= T``.  The sessions of a zero-length cascade start at
       the same ``t_i`` and share one marker.
 
-    Requires ``summary.csv`` and at least one ``run_seed*.csv`` in
-    ``outdir`` (produced by :func:`run_experiment`); only the lowest
-    seed's run CSV is read.
+    Requires ``summary.csv``, ``config.ini`` and the run CSVs of the
+    seeds it lists in ``outdir`` (produced by :func:`run_experiment`);
+    only the lowest seed's run CSV is read.
     """
     outdir = Path(outdir)
     if not (outdir / "summary.csv").exists():
         raise ValueError(f"{outdir} has no summary.csv; run the experiment "
                          "or `summarize` first")
-    record = RunRecord.from_csv(_run_csv_paths(outdir)[0])
+    hash_, run_paths = _run_csv_paths(outdir)
+    record = _read_run(run_paths[0], hash_)
     paths = []
 
     l2_script = _GP_HEADER.format(name="plot_l2.gp") + (

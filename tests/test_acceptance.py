@@ -3,7 +3,8 @@
 Each test exercises one advertised guarantee of the package at its stated
 tolerance — regret certificates, ball membership, session bookkeeping laws,
 convergence rates, probabilistic bound coverage, frozen arithmetic examples,
-calibration sanity, and gradient correctness — and reports a single
+calibration sanity, gradient correctness, and the smallest-radius and
+cumulative-risk bounds on the replica runs — and reports a single
 PASS/FAIL line through the shared terminal-summary hook.
 
 The replica experiments use fixed seeds throughout, so every number below
@@ -22,11 +23,15 @@ from saew.bounds import (
     delta_i,
     err_bound,
     gradient_bound_square,
+    lemma3_min_radius,
     poisson_bound,
     radius_bound,
     regret_to_risk_bound,
     session_length_bound,
+    theorem1_a_prime,
+    theorem1_b_prime,
     theorem1_bound,
+    theorem2_bound,
 )
 from saew.calibration import run_calibration
 from saew.core import BALL_TOL, L1Ball, ProblemParams
@@ -209,6 +214,9 @@ _REPLICA_D = 20
 _REPLICA_T = 5000
 _REPLICA_SEEDS = 60
 
+# The steps at which check 11 evaluates its bounds, besides each run's last.
+_BOUND_TIMES = (100, 1000)
+
 
 @pytest.fixture(scope="module")
 def square_replicas():
@@ -216,16 +224,25 @@ def square_replicas():
     params = _REPLICA_PARAMS
     envs = [make_square_env(_REPLICA_D, 3, 0.1, seed)
             for seed in range(_REPLICA_SEEDS)]
+    theta_star = np.array([env.theta_star_metrics for env in envs])
     max_g = np.zeros(len(envs))
     ball_bad = np.zeros(len(envs), dtype=int)
     l1_bad = np.zeros(len(envs), dtype=int)
     event_ok = np.ones(len(envs), dtype=bool)
+    cum_risk = np.zeros(len(envs))
+    at_times = []  # (eps_min, cumulative risk) of each row at each time
 
     def observe(t, bank, theta_hat, center, radius, grad, session):
         ball_bad[:] += ~(np.sum(np.abs(theta_hat - center), axis=1)
                          <= radius + BALL_TOL)
         l1_bad[:] += np.sum(np.abs(theta_hat), axis=1) > 2.0 * params.U + 1e-9
         np.maximum(max_g, np.max(np.abs(grad), axis=1), out=max_g)
+        # The exact excess risk of a square environment (identity design
+        # covariance) is the squared l2 distance to theta_star.
+        diff = theta_hat - theta_star
+        cum_risk[:] += np.vecdot(diff, diff)
+        if t in _BOUND_TIMES + (_REPLICA_T,):
+            at_times.append((bank.eps_min.copy(), cum_risk.copy()))
         for r in np.flatnonzero(bank.session != session).tolist():
             # A cascade of closes shares one truncated center; the event
             # must hold at every session index it opened.
@@ -238,7 +255,9 @@ def square_replicas():
     starts = _run_bank(params, envs, _REPLICA_T, square_grad, observe)
     return [{"max_g": float(max_g[r]), "ball_bad": int(ball_bad[r]),
              "l1_bad": int(l1_bad[r]), "event_ok": bool(event_ok[r]),
-             "lengths": [(j, s[j + 1] - s[j]) for j in range(len(s) - 1)]}
+             "lengths": [(j, s[j + 1] - s[j]) for j in range(len(s) - 1)],
+             "eps_min": [eps[r] for eps, _ in at_times],
+             "cum_risk": [cum[r] for _, cum in at_times]}
             for r, s in enumerate(starts)]
 
 
@@ -319,25 +338,41 @@ def test_quantile_fast_rate_slope():
 # 6. Acceleration vs the plain ball optimizer
 # ============================================================
 
-def test_acceleration_beats_subroutine():
-    T, n_seeds = 10_000, 10
-    d, U, B = 2, 2.0, 4.0
-    params = ProblemParams(d0=2, alpha=48.0, U=U, B=B, delta=0.1)
+_ACCEL_PARAMS = ProblemParams(d0=2, alpha=48.0, U=2.0, B=4.0, delta=0.1)
+_ACCEL_D = 2
+_ACCEL_T = 10_000
+_ACCEL_SEEDS = 10
+
+
+@pytest.fixture(scope="module")
+def acceleration_runs():
+    """Run the wrapper and the plain ball optimizer on 10 square-loss
+    seeds; return each one's cumulative excess risk per seed and step, and
+    the wrapper rows' largest gradient sup-norm and ``eps_min`` at the
+    bound times."""
+    T, n_seeds, d = _ACCEL_T, _ACCEL_SEEDS, _ACCEL_D
+    params = _ACCEL_PARAMS
     envs = [make_square_env(d, d, 0.3, seed) for seed in range(n_seeds)]
     # Each step's predictions, one row per seed, scored after the runs.
     saew_preds = np.empty((n_seeds, T, d))
     eg_preds = np.empty((n_seeds, T, d))
+    max_g = np.zeros(n_seeds)
+    eps_min = []
 
-    def observe(t, bank, theta_hat, *_):
+    def observe(t, bank, theta_hat, center, radius, grad, session):
         saew_preds[:, t - 1] = theta_hat
+        np.maximum(max_g, np.max(np.abs(grad), axis=1), out=max_g)
+        if t in _BOUND_TIMES + (T,):
+            eps_min.append(bank.eps_min.copy())
 
     _run_bank(params, envs, T, square_grad, observe)
 
     # The plain ball optimizer as the rows of one EGBank; seed 0 also runs
     # through EGState and must predict its row's bits at every step.
-    eg = EGBank(np.zeros((n_seeds, d)), np.full(n_seeds, U),
-                np.full(n_seeds, B), [f"seed {env.seed}" for env in envs])
-    reference = eg_init(L1Ball(np.zeros(d), U), B)
+    eg = EGBank(np.zeros((n_seeds, d)), np.full(n_seeds, params.U),
+                np.full(n_seeds, params.B),
+                [f"seed {env.seed}" for env in envs])
+    reference = eg_init(L1Ball(np.zeros(d), params.U), params.B)
     draws = [env.draw(T) for env in envs]
     xs = np.stack([x for x, _ in draws], axis=1)
     ys = np.stack([y for _, y in draws], axis=1)
@@ -353,6 +388,14 @@ def test_acceleration_beats_subroutine():
         np.array([np.add.accumulate(env.excess_risk_exact(rows))
                   for env, rows in zip(envs, preds)])
         for preds in (saew_preds, eg_preds))
+    return {"cums_saew": cums_saew, "cums_eg": cums_eg, "max_g": max_g,
+            "eps_min": np.array(eps_min)}
+
+
+def test_acceleration_beats_subroutine(acceleration_runs):
+    T = _ACCEL_T
+    cums_saew = acceleration_runs["cums_saew"]
+    cums_eg = acceleration_runs["cums_eg"]
     med_saew = np.median(cums_saew, axis=0)
     med_eg = np.median(cums_eg, axis=0)
     ratio = med_saew[-1] / med_eg[-1]
@@ -396,17 +439,17 @@ def test_bound_coverage_monte_carlo():
     B_run = gradient_bound_square(x_bound, y_bound, U)
     params = ProblemParams(d0=d0, alpha=variance, U=U, B=B_run, delta=delta)
     risk_bound = theorem1_bound(params, eg_certificate(d), T_run)
-    covered = 0
-    for seed in range(200):
-        env = make_truncated_square_env(d, d0, noise_sd, seed,
-                                        x_bound, n_sds)
-        xs, ys = env.draw(T_run)
-        state = saew_init(params, d)
-        for t in range(T_run):
-            x, y = xs[t], ys[t]
-            saew_step(state, lambda th: square_grad(th, x, y))
-        risk = env.excess_risk_exact(saew_estimators(state)[1])
-        covered += risk <= risk_bound
+    envs = [make_truncated_square_env(d, d0, noise_sd, seed, x_bound, n_sds)
+            for seed in range(200)]
+    risks = []
+
+    def observe(t, bank, *_):
+        if t == T_run:
+            risks.extend(env.excess_risk_exact(theta)
+                         for env, theta in zip(envs, bank.theta_tilde))
+
+    _run_bank(params, envs, T_run, square_grad, observe)
+    covered = sum(risk <= risk_bound for risk in risks)
     coverage = covered / 200.0
 
     _report(7, coverage >= 0.95 and viol_poisson <= 0.05
@@ -532,3 +575,60 @@ def test_gradient_correctness():
     _report(10, fd_bad == 0 and sub_bad == 0,
             f"{fd_bad}/1000 finite-difference mismatches; "
             f"{sub_bad}/1000 subgradient-inequality violations")
+
+
+# ============================================================
+# 11. Lemma 3 and Theorem 2 on the runs of checks 2-4 and 6
+# ============================================================
+
+def _bound_ratios(params, d, T, eps_min, cum_risk, lemma3=lemma3_min_radius):
+    """Worst ratios of Lemma 3's and Theorem 2's bounds to what they bound.
+
+    ``eps_min[k]`` and ``cum_risk[k]`` hold each row's smallest confidence
+    radius and cumulative excess risk of the predictions after step
+    ``(*_BOUND_TIMES, T)[k]``.  A ratio below 1 is a violation.
+    """
+    cert = eg_certificate(d)
+    gamma = 2.0 ** 4 * params.d0 * params.B / (params.alpha * params.U)
+    lemma3_ratio = theorem2_ratio = math.inf
+    for t, eps, cum in zip(_BOUND_TIMES + (T,), eps_min, cum_risk):
+        a_p = theorem1_a_prime(cert.a, t, params.delta)
+        b_p = theorem1_b_prime(cert.b, t, params.delta)
+        lemma3_ratio = min(lemma3_ratio, lemma3(params.U, gamma, a_p, b_p, t)
+                           / float(np.max(eps)))
+        theorem2_ratio = min(theorem2_ratio, theorem2_bound(params, cert, t)
+                             / float(np.max(cum)))
+    return lemma3_ratio, theorem2_ratio
+
+
+def _acceleration_ratios(runs, lemma3=lemma3_min_radius):
+    cum_risk = runs["cums_saew"][:, [t - 1 for t in _BOUND_TIMES + (_ACCEL_T,)]]
+    return _bound_ratios(_ACCEL_PARAMS, _ACCEL_D, _ACCEL_T, runs["eps_min"],
+                         cum_risk.T, lemma3)
+
+
+def test_lemma3_and_theorem2_cover_runs(square_replicas, acceleration_runs):
+    replica_ratios = _bound_ratios(
+        _REPLICA_PARAMS, _REPLICA_D, _REPLICA_T,
+        np.array([r["eps_min"] for r in square_replicas]).T,
+        np.array([r["cum_risk"] for r in square_replicas]).T)
+    accel_ratios = _acceleration_ratios(acceleration_runs)
+    lemma3_ratio, theorem2_ratio = np.minimum(replica_ratios, accel_ratios)
+    runs = len(square_replicas) + _ACCEL_SEEDS
+    in_bound = (sum(r["max_g"] <= _REPLICA_PARAMS.B for r in square_replicas)
+                + int(np.sum(acceleration_runs["max_g"] <= _ACCEL_PARAMS.B)))
+    _report(11, lemma3_ratio >= 1.0 and theorem2_ratio >= 1.0,
+            f"Lemma 3 radius bound >= {lemma3_ratio:.2f} x eps_min and "
+            f"Theorem 2 bound >= {theorem2_ratio:.0f} x cumulative risk "
+            f"on {runs} runs at t = {', '.join(map(str, _BOUND_TIMES))}, T "
+            f"(need >= 1 each; "
+            f"{in_bound} runs kept every gradient within B)")
+
+
+def test_check_11_rejects_lemma3_with_t_for_sqrt_t(acceleration_runs):
+    def mutant(U, gamma, a_p, b_p, t):
+        return U * (math.sqrt(2.0) * gamma * a_p / t
+                    + (2.0 + 4.0 * gamma * b_p) / t)
+
+    lemma3_ratio, _ = _acceleration_ratios(acceleration_runs, mutant)
+    assert lemma3_ratio < 1.0

@@ -4,14 +4,16 @@ Derived expectations are frozen from independent hand arithmetic (shown in
 comments) before the implementation was written.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saew.bounds
 from saew.core import ProblemParams
 from saew.bounds import (
-    Theorem3Bound,
     a_prime,
     b_prime,
     delta_i,
@@ -26,9 +28,6 @@ from saew.bounds import (
     theorem1_b_prime,
     theorem1_bound,
     theorem2_bound,
-    theorem3_a_prime,
-    theorem3_c_prime,
-    theorem3_bound,
 )
 from saew.subroutine import RegretCertificate
 
@@ -258,50 +257,8 @@ def test_theorem2_at_least_theorem1_at_T1_moderate_confidence():
 
 
 # ============================================================
-# theorem3_bound / gradient_bound_square
+# gradient_bound_square
 # ============================================================
-
-def test_theorem3_c_prime_frozen_value():
-    # a=b=0, T=e, delta=2: 1 + 9*log(1+3) + 3*log(1) = 1 + 9*log(4).
-    expected = 1.0 + 9.0 * math.log(4.0)
-    assert theorem3_c_prime(0.0, 0.0, math.e, 2.0) == pytest.approx(expected,
-                                                                    rel=REL)
-
-
-def test_theorem3_matches_hand_formula_noise_free():
-    X, Y, U, d0, alpha, T, delta = 1.0, 2.0, 0.5, 2, 1.5, 100, 0.05
-    cert = RegretCertificate(1.0, 1.0)
-    res = theorem3_bound(X, Y, U, d0, alpha, 0.0, cert, T, delta)
-    ap = 2.0 * cert.a + 2.0 * math.sqrt(
-        6.0 * math.log(1.0 + 3.0 * math.log(T)) + 2.0 * math.log(2.0 / delta))
-    cp = 1.0 + 3.0 * cert.b + 4.0 * cert.a ** 2 \
-        + 9.0 * math.log(1.0 + 3.0 * math.log(T)) + 3.0 * math.log(2.0 / delta)
-    yxu = Y + X * U
-    slow = U * X * yxu * cp / T + alpha * U ** 2 / (d0 * T)
-    fast = (X ** 2 * d0 / alpha) * (yxu ** 2 * cp ** 2 / T ** 2) \
-        + alpha * U ** 2 / (d0 * T ** 2)
-    assert res.a_prime == pytest.approx(ap, rel=REL)
-    assert res.c_prime == pytest.approx(cp, rel=REL)
-    assert float(res) == pytest.approx(min(slow, fast), rel=REL)
-    assert res.up_to_constant
-
-
-def test_theorem3_noise_shrinks_fast_branch():
-    # With sigma*X below the worst-case gradient level, the noise-aware fast
-    # branch beats the B^2-style term it replaces.
-    X, Y, U, d0, alpha, T = 1.0, 1.0, 1.0, 1, 1.0, 10 ** 4
-    cert = RegretCertificate(0.5, 0.5)
-    small = theorem3_bound(X, Y, U, d0, alpha, 0.1, cert, T, 0.05)
-    large = theorem3_bound(X, Y, U, d0, alpha, 2.0, cert, T, 0.05)
-    assert float(small) < float(large)
-
-
-def test_theorem3_is_dataclass_with_flag():
-    res = theorem3_bound(1.0, 1.0, 1.0, 1, 1.0, 1.0,
-                         RegretCertificate(1.0, 1.0), 10, 0.1)
-    assert isinstance(res, Theorem3Bound)
-    assert res.up_to_constant is True
-
 
 def test_gradient_bound_square_values():
     assert gradient_bound_square(1.0, 1.0, 1.0) == pytest.approx(6.0, rel=REL)
@@ -425,3 +382,19 @@ def test_bounds_deterministic():
     params, cert = _params(), RegretCertificate(1.3, 0.7)
     assert theorem1_bound(params, cert, 123) == theorem1_bound(params, cert, 123)
     assert a_prime(0.2, 17, 0.03) == a_prime(0.2, 17, 0.03)
+
+
+# ============================================================
+# Every bound is evaluated by a run
+# ============================================================
+
+def test_acceptance_checks_use_every_public_bound():
+    # A formula that no acceptance check evaluates on a run is checked by
+    # nothing but its own arithmetic tests.
+    public = {name for name, value in vars(saew.bounds).items()
+              if callable(value) and not name.startswith("_")
+              and getattr(value, "__module__", None) == "saew.bounds"}
+    source = Path(__file__).with_name("test_acceptance.py").read_text()
+    used = {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name)}
+    assert public and sorted(public - used) == []

@@ -20,7 +20,13 @@ import saew.harness
 from saew.baselines import rda_init, rda_predict, rda_step
 from saew.calibration import build_grid, run_calibration
 from saew.cli import main
-from saew.core import BASE_COLUMNS, L1Ball, ProblemParams, RunRecord
+from saew.core import (
+    BASE_COLUMNS,
+    L1Ball,
+    ProblemParams,
+    RunRecord,
+    config_hash,
+)
 from saew.engine import saew_estimators, saew_init, saew_step
 from saew.harness import (
     ConfigError,
@@ -928,6 +934,59 @@ def test_run_summarizes_only_the_seeds_it_ran(tmp_path):
     assert [line.split(",")[0] for line in finals[1:]] == ["1", "2"]
 
 
+def test_summarize_and_plots_read_only_the_seeds_of_config_ini(tmp_path,
+                                                               capsys):
+    # A reused outdir keeps the CSVs of seed 1 from the first run.
+    cfg = _config(tmp_path, T=20, seeds=(2, 3))
+    run_experiment(dataclasses.replace(cfg, seeds=(1, 2, 3)))
+    run_experiment(cfg)
+    assert (Path(cfg.outdir) / "run_seed1.csv").exists()
+    assert main(["summarize", cfg.outdir]) == 0
+    assert capsys.readouterr().out.startswith("2 runs, T=20\n")
+    finals = (Path(cfg.outdir) / "finals.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in finals[1:]] == ["2", "3"]
+    assert [r.seed for r in load_run_records(cfg.outdir)] == [2, 3]
+    # The session plot draws the lowest listed seed's run.
+    emit_plots(cfg.outdir)
+    eps = np.loadtxt(Path(cfg.outdir) / "sessions.dat", delimiter=",",
+                     skiprows=1)[:, 2]
+    record = RunRecord.from_csv(Path(cfg.outdir) / "run_seed2.csv")
+    assert eps.tolist() == record.column("epsilon").tolist()
+
+
+@pytest.mark.parametrize("damage", ["config.ini", "run_seed2.csv", "hash"])
+def test_cli_summarize_and_plots_name_what_a_run_dir_lacks(tmp_path, capsys,
+                                                           damage):
+    cfg = _config(tmp_path, T=20, seeds=(1, 2))
+    out = Path(cfg.outdir)
+    if damage == "hash":
+        # CSVs of another config under this config's config.ini.
+        run_experiment(dataclasses.replace(cfg, delta=0.2))
+        cfg.to_ini(out / "config.ini")
+        stale = RunRecord.from_csv(out / "run_seed1.csv").config_hash
+        message = (f"{out / 'run_seed1.csv'} has config_hash {stale!r}, "
+                   f"config.ini has {config_hash(cfg.as_mapping())!r}")
+    else:
+        run_experiment(cfg)
+        (out / damage).unlink()
+        message = {
+            "config.ini": f"{out} has no config.ini; run the experiment first",
+            "run_seed2.csv": f"{out / 'run_seed2.csv'} is missing: "
+                             "config.ini lists seed 2",
+        }[damage]
+    for command in ("summarize", "plots"):
+        assert main([command, cfg.outdir]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_config_with_integer_constants_hashes_as_its_ini(tmp_path):
+    cfg = _config(tmp_path, T=20, seeds=(1,), alpha=8, U=1, B=4)
+    assert (cfg.alpha, cfg.U, cfg.B) == (8.0, 1.0, 4.0)
+    assert isinstance(cfg.U, float)
+    run_experiment(cfg)
+    assert [r.seed for r in load_run_records(cfg.outdir)] == [1]
+
+
 def test_cli_calibrate_is_an_unknown_command(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--config", str(tmp_path / "cal.ini")])
@@ -1003,6 +1062,8 @@ def test_cli_summarize_empty_dir_exit_2(tmp_path, capsys):
 
 
 def test_cli_summarize_header_only_csv_exit_2(tmp_path, capsys):
+    _config(tmp_path, seeds=(1,), outdir=str(tmp_path)).to_ini(
+        tmp_path / "config.ini")
     path = tmp_path / "run_seed1.csv"
     path.write_text(",".join(BASE_COLUMNS) + "\n")
     with warnings.catch_warnings():
