@@ -774,8 +774,9 @@ def summarize(records: Sequence[RunRecord]) -> Summary:
     l2 = np.array([r.column("l2_error") for r in records])
     cum = np.array([r.column("cum_risk") for r in records])
     # Scalar math.log: np.log may differ from it in the last bit.
-    log_l2 = np.array([[math.log(max(v, _TINY)) for v in row]
-                       for row in l2.tolist()])
+    floored = np.maximum(l2, _TINY).ravel().tolist()
+    log_l2 = np.fromiter(map(math.log, floored), float,
+                         len(floored)).reshape(l2.shape)
 
     def aggregates(matrix: np.ndarray) -> dict[str, np.ndarray]:
         return {
@@ -823,13 +824,17 @@ def _run_csv_paths(outdir: Path) -> tuple[str, list[Path]]:
     ``outdir/config.ini`` lists.
 
     Raises:
-        ValueError: no ``config.ini``, or a listed seed without its CSV.
+        ValueError: no ``config.ini``, a calibration run's ``config.ini``,
+            or a listed seed without its CSV.
     """
     ini = outdir / "config.ini"
     if not ini.exists():
         raise ValueError(f"{outdir} has no config.ini; run the experiment "
                          "first")
     config = ExperimentConfig.from_ini(ini)
+    if config.algorithm == "calibrate":
+        raise ValueError(f"{outdir} holds a calibration run "
+                         "(algorithm = calibrate): it has no run CSVs")
     paths = []
     for seed in sorted(config.seeds):
         path = outdir / _seed_csv_name(seed)
@@ -892,6 +897,8 @@ def emit_plots(outdir: str | Path) -> list[Path]:
     """
     outdir = Path(outdir)
     if not (outdir / "summary.csv").exists():
+        if (outdir / "config.ini").exists():
+            _run_csv_paths(outdir)  # raises on a calibration run's dir
         raise ValueError(f"{outdir} has no summary.csv; run the experiment "
                          "or `summarize` first")
     hash_, run_paths = _run_csv_paths(outdir)

@@ -29,13 +29,11 @@ from saew.core import DenseVector, Environment
 # The standard normal's density, CDF and quantile (scalar math).
 _NORMAL = NormalDist()
 
-# Each environment's Monte-Carlo holdouts (~17 MB each at d ~ 20) by size,
-# dropped with it; an entry is (xt, y, loss_star, n): see _holdout.
+# Each environment's Monte-Carlo holdouts (~18 MB each at d ~ 20) by size,
+# dropped with it; an entry is what _holdout returns.
 _HOLDOUT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _HOLDOUT_SIZE = 10 ** 5
-# Holdout columns per pass of the Monte-Carlo oracle (a chunk's buffers
-# stay in L2), and holdout rows drawn at a time when it is built.  A
-# multiple of _HOLDOUT_PAD, so every chunk starts and ends on one.
+# Holdout rows drawn at a time when it is built.
 _HOLDOUT_CHUNK = 8192
 # The holdout's columns are padded with zeros to a multiple of this.  A
 # row of a matrix-matrix product over chunks that start and end on
@@ -43,11 +41,11 @@ _HOLDOUT_CHUNK = 8192
 # whole holdout; narrower or unaligned chunk ends round some entries
 # differently.
 _HOLDOUT_PAD = 16
-# Parameter vectors scored per pass over the holdout: one matrix-matrix
-# product per chunk gives all of their products.  A row of such a product
-# has the same bits whatever other rows share it, for groups of 1 to 16
-# rows; groups of 16 took more memory and were no faster than 8.
-_THETA_GROUP = 8
+# The oracle scores tiles of up to _TILE_ROWS vectors on _TILE_COLUMNS
+# holdout columns (a multiple of _HOLDOUT_PAD; two 256 KB buffers in L2).
+# A row of a tile's product has the same bits for tiles of 1 to 32 rows.
+_TILE_ROWS = 32
+_TILE_COLUMNS = 1024
 
 
 class RiskEstimate(NamedTuple):
@@ -372,18 +370,20 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
 # True-excess-risk oracle
 # ============================================================
 
-def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _holdout(env: Environment, n: int = _HOLDOUT_SIZE) -> tuple:
     """Fixed seeded holdout of a quantile environment for Monte-Carlo risks.
 
-    Returns ``(xt, y, loss_star, n)``.  The ``n`` samples are the columns:
-    ``xt`` is the ``(dimension, n_pad)`` design transposed, ``y`` the
-    responses and ``loss_star`` the pinball losses of ``theta_star``,
-    where ``n_pad`` is ``n`` rounded up to a multiple of 16 and the pad
-    columns are zero.  ``env.sample`` draws the samples on generators
-    ``[seed, 3]`` and ``[seed, 4]``, ``_HOLDOUT_CHUNK`` rows at a time,
-    with the bits of one ``n``-row call.  The arrays are read-only and
-    cached while the environment lives.
+    Returns ``(xt, y, x_mean, rho_star, min_star_sum, n)``: the ``n``
+    samples are the columns of the ``(dimension, n_pad)`` transposed design
+    ``xt`` and of the responses ``y``, zero-padded to a multiple of 16;
+    ``x_mean`` is the mean design row.  At theta_star's residuals ``u*``,
+    ``rho_star`` holds the pinball losses ``alpha_q*u* - min(u*, 0)`` and
+    ``min_star_sum`` the sum of ``min(u*, 0)``, taken as every scored
+    vector's are (see :func:`_scan`), so theta_star scores exactly 0.
+    ``env.sample`` draws the samples on generators ``[seed, 3]`` and
+    ``[seed, 4]``, ``_HOLDOUT_CHUNK`` rows at a time, with the bits of one
+    ``n``-row call.  The arrays are read-only and cached while the
+    environment lives.
     """
     if env.loss != "pinball":
         raise ValueError(f"no Monte-Carlo holdout for {env.loss!r} loss")
@@ -399,13 +399,16 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE
         c1 = min(c0 + _HOLDOUT_CHUNK, n)
         x, y[c0:c1] = env.sample(rng_x, rng_e, c1 - c0)
         xt[:, c0:c1] = x.T
-    # theta_star's losses are taken as every scored vector's are (see
-    # true_excess_risk), so theta_star itself scores exactly 0.
-    loss_star = np.empty(n_pad)
-    _losses(env.theta_star_metrics[None], xt, y, float(env.config["alpha_q"]),
-            out=loss_star[None])
-    entry = cached[n] = (xt, y, loss_star, n)
-    for array in entry[:3]:
+    alpha_q = float(env.config["alpha_q"])
+    star = env.theta_star_metrics[None]
+    u = np.empty(n_pad)
+    _gemm(star, xt, out=u[None])
+    np.subtract(y, u, out=u)
+    rho_star = alpha_q * u - np.minimum(u, 0.0)
+    min_star_sum = _scan(star, np.zeros(1, bool), xt, y, rho_star, alpha_q)[0]
+    entry = cached[n] = (xt, y, xt.sum(axis=1) / n, rho_star,
+                         float(min_star_sum[0]), n)
+    for array in entry[:4]:
         array.flags.writeable = False
     return entry
 
@@ -424,38 +427,43 @@ def _gemm(group: np.ndarray, xt: np.ndarray, out: np.ndarray) -> None:
         out[:] = (np.concatenate((group, group)) @ xt)[:1]
 
 
-def _pinball(u: np.ndarray, alpha_q: float, spare: np.ndarray) -> None:
-    """Overwrite the residuals ``u`` with their pinball losses,
-    ``max(u*alpha_q, u*(alpha_q - 1))``, using ``spare`` (``u``'s shape)
-    as scratch.
+def _scan(stack: np.ndarray, want_se: np.ndarray, xt: np.ndarray,
+          y: np.ndarray, rho_star: np.ndarray, alpha_q: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums over the holdout columns ``(xt, y)`` per row of ``stack``, at
+    residuals ``u = y - x.theta``: of ``min(u, 0)``, and for the rows that
+    ``want_se`` names (zero elsewhere) of the paired differences
+    ``d = alpha_q*u - min(u, 0) - rho_star`` and of their squares.
 
-    Each product is rounded once, as in ``u*(alpha_q - [u < 0])``, so the
-    losses equal that form's; only the sign of a zero loss may differ.
+    Chunk-major: every tile of rows reads a chunk of columns in turn.  Rows
+    with a standard error are tiled apart from the others, which take three
+    passes over a tile after its product.  A row's sums depend on it alone.
     """
-    np.multiply(u, alpha_q - 1.0, out=spare)
-    np.multiply(u, alpha_q, out=u)
-    np.maximum(u, spare, out=u)
-
-
-def _losses(group: np.ndarray, xt: np.ndarray, y: np.ndarray,
-            alpha_q: float, out: np.ndarray,
-            star: np.ndarray | None = None) -> None:
-    """Write into ``out`` the pinball losses of each row of ``group`` on
-    the holdout columns ``(xt, y)``, minus ``star`` if given.
-
-    One chunk of ``_HOLDOUT_CHUNK`` columns at a time: one gemm gives the
-    whole group's products, and the elementwise passes run while the
-    chunk is in cache.
-    """
-    chunk = min(xt.shape[1], _HOLDOUT_CHUNK)
-    spare = np.empty(len(group) * chunk)
-    for c0 in range(0, xt.shape[1], chunk):
-        u = out[:, c0:c0 + chunk]
-        _gemm(group, xt[:, c0:c0 + chunk], out=u)
-        np.subtract(y[c0:c0 + chunk], u, out=u)
-        _pinball(u, alpha_q, spare[:u.size].reshape(u.shape))
-        if star is not None:
-            np.subtract(u, star[c0:c0 + chunk], out=u)
+    k = len(stack)
+    min_sums, sums, squares = np.zeros(k), np.zeros(k), np.zeros(k)
+    tiles = [(rows[i:i + _TILE_ROWS], se) for se in (False, True)
+             for rows in [np.flatnonzero(want_se == se)]
+             for i in range(0, len(rows), _TILE_ROWS)]
+    tiles = [(rows, stack[rows], se) for rows, se in tiles]
+    buffers = np.empty((2, min(k, _TILE_ROWS) * _TILE_COLUMNS))
+    for c0 in range(0, xt.shape[1], _TILE_COLUMNS):
+        c1 = min(c0 + _TILE_COLUMNS, xt.shape[1])
+        for rows, group, se in tiles:
+            u, m = buffers[:, :len(rows) * (c1 - c0)].reshape(2, len(rows), -1)
+            _gemm(group, xt[:, c0:c1], out=u)
+            np.subtract(y[c0:c1], u, out=u)
+            if not se:
+                np.minimum(u, 0.0, out=u)
+                min_sums[rows] += u.sum(axis=1)
+                continue
+            np.minimum(u, 0.0, out=m)
+            min_sums[rows] += m.sum(axis=1)
+            np.multiply(u, alpha_q, out=u)
+            np.subtract(u, m, out=u)
+            np.subtract(u, rho_star[c0:c1], out=u)
+            sums[rows] += u.sum(axis=1)
+            squares[rows] += np.vecdot(u, u)
+    return min_sums, sums, squares
 
 
 def true_excess_risk(theta: DenseVector, env: Environment,
@@ -469,13 +477,11 @@ def true_excess_risk(theta: DenseVector, env: Environment,
     Square environments have a closed form (``alpha * ||theta - theta*||^2``)
     and return it.  The quantile environment returns a
     :class:`RiskEstimate` — a paired Monte-Carlo estimate over a fixed
-    seeded holdout of 10^5 samples, with its standard error.  The
-    holdout's ``theta_star`` losses are computed once (see :func:`_holdout`),
-    and one pass over the holdout scores a group of rows, each chunk's
-    products by one matrix-matrix product.  A row's value and standard
-    error depend on the row alone, not on the stack it comes in.
-    ``se_rows``, a boolean mask of shape ``(k,)``, names the rows whose
-    standard error is wanted (default: all); the others get NaN.
+    seeded holdout of 10^5 samples, with its standard error: one pass over
+    the holdout (see :func:`_scan`) scores the whole stack.  A row's value
+    and standard error depend on the row alone, not on the stack it comes
+    in.  ``se_rows``, a boolean mask of shape ``(k,)``, names the rows
+    whose standard error is wanted (default: all); the others get NaN.
 
     Raises:
         ValueError: ``theta`` of the wrong shape or with a non-finite
@@ -498,21 +504,15 @@ def true_excess_risk(theta: DenseVector, env: Environment,
                          f"({k},), one entry per row of theta")
     if env.loss == "square":
         return env.excess_risk_exact(thetas)
-    xt, y, loss_star, n = _holdout(env)
+    xt, y, x_mean, rho_star, min_star_sum, n = _holdout(env)
     alpha_q = float(env.config["alpha_q"])
-    values, ses = np.empty(k), np.full(k, np.nan)
-    # Each row's losses minus the theta_star losses, kept whole: the mean
-    # and standard error sum a row's first n entries in one pairwise pass,
-    # as for one vector.
-    diffs = np.empty((min(k, _THETA_GROUP), xt.shape[1]))
-    for g0 in range(0, k, _THETA_GROUP):
-        group = stack[g0:g0 + _THETA_GROUP]
-        _losses(group, xt, y, alpha_q, out=diffs[:len(group)],
-                star=loss_star)
-        for r, diff in enumerate(diffs[:len(group), :n], start=g0):
-            values[r] = mean = diff.mean()
-            if want_se[r]:
-                ses[r] = diff.std(ddof=1, mean=mean) / math.sqrt(n)
+    min_sums, sums, squares = _scan(stack, want_se, xt, y, rho_star, alpha_q)
+    # The pinball loss is alpha_q*u - min(u, 0), and a row's residuals are
+    # theta_star's minus x.(theta - theta_star).
+    values = ((min_star_sum - min_sums) / n
+              - alpha_q * np.vecdot(stack - env.theta_star_metrics, x_mean))
+    var = np.maximum(squares - sums * (sums / n), 0.0) / (n - 1)
+    ses = np.where(want_se, np.sqrt(var) / math.sqrt(n), np.nan)
     if thetas.ndim == 1:
         return RiskEstimate(value=float(values[0]), se=float(ses[0]))
     return RiskEstimate(value=values, se=ses)

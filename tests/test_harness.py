@@ -330,25 +330,13 @@ def test_mc_risk_run_builds_one_holdout_per_seed(tmp_path, monkeypatch,
 
 
 def _paired_risk(env):
-    """``theta -> (risk, standard error)``: the paired Monte-Carlo
-    estimate on the environment's holdout, computed from scratch on the
-    row-major ``(n, d + 1)`` design."""
-    xt, y, _, n = saew.losses._holdout(env)
-    x, y = np.ascontiguousarray(xt[:, :n].T), y[:n]
-    alpha_q = env.config["alpha_q"]
-
-    def pinball(u):
-        return u * (alpha_q - (u < 0.0))
-
-    def product(theta):
-        return (np.stack((theta, theta)) @ x.T)[0]
-
-    loss_star = pinball(y - product(env.theta_star_metrics))
-
+    """``theta -> (risk, standard error)``: the Monte-Carlo oracle's paired
+    estimate on the environment's holdout, one vector per call.  A row's
+    estimate does not depend on the stack it is scored in, so the block
+    scorer's rows must have these bits."""
     def risk(theta):
-        diff = pinball(y - product(theta)) - loss_star
-        return (float(diff.mean()),
-                float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
+        est = true_excess_risk(theta, env)
+        return est.value, est.se
     return risk
 
 
@@ -1084,6 +1072,21 @@ def test_cli_calibrate_happy_path_and_schema(tmp_path):
     lines = (Path(cfg.outdir) / "calibration_seed1.csv").read_text().splitlines()
     assert lines[0] == "j,grid_size,best_candidate,meta_risk,best_risk"
     assert len(lines) == 1 + 4  # sessions 0..3 close within T=16
+
+
+def test_cli_summarize_and_plots_refuse_a_calibration_dir(tmp_path, capsys):
+    cfg = ExperimentConfig(env="square", d=2, d0=1, noise_sd=0.1,
+                           algorithm="calibrate", T=16, seeds=(1,),
+                           outdir=str(tmp_path / "cal"), cal_Y=2.0,
+                           cal_clamp_lo=-1, cal_clamp_hi=1)
+    run_calibrate(cfg)
+    for command in ("summarize", "plots"):
+        assert main([command, cfg.outdir]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg.outdir} holds a calibration run "
+            "(algorithm = calibrate): it has no run CSVs\n")
+    assert sorted(p.name for p in Path(cfg.outdir).iterdir()) == [
+        "calibration_seed1.csv", "config.ini"]
 
 
 def test_calibration_csv_quotes_candidate_labels(tmp_path, monkeypatch):

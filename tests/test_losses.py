@@ -454,7 +454,7 @@ def test_true_excess_risk_deterministic():
 def _row_major(holdout):
     """The holdout as a row-major ``(n, d + 1)`` design and its ``n``
     responses, the layout the oracle's arithmetic is checked against."""
-    xt, y, _, n = holdout
+    xt, y, *_, n = holdout
     return np.ascontiguousarray(xt[:, :n].T), y[:n]
 
 
@@ -472,26 +472,58 @@ def _paired_from_scratch(x, y, env, theta, alpha_q):
             float(diff.std(ddof=1) / math.sqrt(diff.shape[0])))
 
 
+def _assert_close_to_paired(value, se, reference):
+    """The oracle against the paired whole-row reference: the value within
+    1e-14 * max(1, |v|), the standard error (unless None) within 1e-11
+    relative.  The oracle sums the pinball loss's linear part in closed
+    form and the rest a tile at a time, so its last bits may differ."""
+    ref_value, ref_se = reference
+    assert abs(value - ref_value) <= 1e-14 * max(1.0, abs(ref_value))
+    assert se is None or abs(se - ref_se) <= 1e-11 * ref_se
+
+
 def test_true_excess_risk_equals_paired_computation_from_scratch():
     env = make_quantile_env(d=3, d0=1, alpha_q=0.7, noise_sd=0.3, seed=9)
     x, y = _row_major(_holdout(env))
     rng = np.random.default_rng(4)
-    for theta in (np.zeros(4), env.theta_star_metrics,
+    for theta in (np.zeros(4),
                   env.theta_star_metrics + 0.2 * rng.standard_normal(4)):
         est = true_excess_risk(theta, env)
-        assert (est.value, est.se) == _paired_from_scratch(x, y, env, theta,
-                                                           0.7)
-    assert true_excess_risk(env.theta_star_metrics, env) == (0.0, 0.0)
+        _assert_close_to_paired(est.value, est.se,
+                                _paired_from_scratch(x, y, env, theta, 0.7))
+    star = true_excess_risk(env.theta_star_metrics, env)
+    assert star == (0.0, 0.0)
+    assert math.copysign(1.0, star.value) == 1.0
+
+
+@pytest.mark.parametrize("params", [
+    dict(d=20, d0=3, alpha_q=0.8, noise_sd=0.1, seed=5),
+    dict(d=10, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21),
+    dict(d=3, d0=1, alpha_q=0.5, noise_sd=1.0, seed=7)])
+def test_true_excess_risk_near_and_far_from_theta_star(params):
+    # From far off theta_star down to 1e-6 from it, where the paired
+    # differences are about a millionth of the losses they are taken from.
+    env = make_quantile_env(**params)
+    x, y = _row_major(_holdout(env))
+    rng = np.random.default_rng(6)
+    for s in (1.0, 1e-2, 1e-4, 1e-6):
+        stack = env.theta_star_metrics + s * rng.standard_normal(
+            (6, env.dimension))
+        est = true_excess_risk(stack, env)
+        for theta, value, se in zip(stack, est.value, est.se):
+            _assert_close_to_paired(
+                value, se,
+                _paired_from_scratch(x, y, env, theta, params["alpha_q"]))
 
 
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8192, 5,
                                17, 33, 8193])
 def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
         monkeypatch, n):
-    # More rows than one pass over the holdout takes, the last pass taking
-    # 3 rows or one; holdouts that are not a whole number of chunks
-    # (10007), exactly one chunk, or shorter.  At n = 17, chunks that end
-    # at n instead of a multiple of 16 columns round some products
+    # More rows than a tile takes, the last tile of each kind taking a few
+    # rows or one; holdouts that are not a whole number of tile widths
+    # (10007), or shorter than one.  At n = 17, chunks that end at n
+    # instead of a multiple of 16 columns would round some products
     # differently.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
     holdout = saew.losses._holdout
@@ -499,25 +531,27 @@ def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
                         lambda env: holdout(env, n))
     x, y = _row_major(holdout(env, n))
     for extra in (3, 1):
-        k = 2 * saew.losses._THETA_GROUP + extra
+        k = 2 * saew.losses._TILE_ROWS + extra
         rng = np.random.default_rng(8)
         stack = env.theta_star_metrics + 0.3 * rng.standard_normal((k, 21))
         stack[4] = 0.0
         stack[5] = stack[2]
+        stack[6] = env.theta_star_metrics
         want_se = rng.random(k) < 0.5
+        want_se[6] = True
         est = true_excess_risk(stack, env, se_rows=want_se)
         assert est.value.shape == est.se.shape == (k,)
         for r, theta in enumerate(stack):
-            value, se = _paired_from_scratch(x, y, env, theta, 0.3)
-            assert est.value[r] == value
-            if want_se[r]:
-                assert est.se[r] == se
-            else:
-                assert math.isnan(est.se[r])
+            _assert_close_to_paired(
+                est.value[r], est.se[r] if want_se[r] else None,
+                _paired_from_scratch(x, y, env, theta, 0.3))
+            assert want_se[r] or math.isnan(est.se[r])
+        assert (est.value[6], est.se[6]) == (0.0, 0.0)
+        # A row's bits depend neither on se_rows nor on the stack it
+        # comes in.
         full = true_excess_risk(stack, env)
         np.testing.assert_array_equal(full.value, est.value)
         np.testing.assert_array_equal(full.se[want_se], est.se[want_se])
-        # A row's bits do not depend on the stack it comes in.
         for r in (3, k - 1):
             single = true_excess_risk(stack[r], env)
             assert (single.value, single.se) == (full.value[r], full.se[r])
@@ -529,12 +563,12 @@ def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5,
                                16385])
 def test_holdout_chunk_products_equal_the_full_product(n):
-    # The oracle's premise: a row of a group's matrix-matrix product over
+    # The oracle's premise: a row of a tile's matrix-matrix product over
     # the transposed, zero-padded holdout has the bits of that row's
     # product with the whole row-major holdout as a two-row stack,
-    # whatever the group's other rows, its size (1 to 16) and where the
+    # whatever the tile's other rows, its size (1 to 32) and where the
     # chunks end, as long as they start and end on multiples of 16
-    # columns.  A one-row group is doubled, as the oracle does.
+    # columns.  A one-row tile is doubled, as the oracle does.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
     holdout = _holdout(env, n)
     xt = holdout[0]
@@ -542,12 +576,12 @@ def test_holdout_chunk_products_equal_the_full_product(n):
     n_pad = xt.shape[1]
     assert n_pad % 16 == 0 and n <= n_pad < n + 16
     rng = np.random.default_rng(8)
-    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((24, 21))
+    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((40, 21))
     full = [(np.stack((theta, theta)) @ x.T)[0].tobytes() for theta in stack]
-    for size in range(1, 17):
+    for size in range(1, saew.losses._TILE_ROWS + 1):
         for g0 in (0, len(stack) - size):
             group = stack[g0:g0 + size]
-            for chunk in (1008, saew.losses._HOLDOUT_CHUNK, n_pad):
+            for chunk in (1008, saew.losses._TILE_COLUMNS, n_pad):
                 products = np.empty((size, n_pad))
                 for c0 in range(0, n_pad, chunk):
                     saew.losses._gemm(group, xt[:, c0:c0 + chunk],
@@ -568,42 +602,26 @@ def test_holdout_equals_one_whole_draw(n):
         np.random.default_rng(np.random.SeedSequence([14, 4])), n)
     star = env.theta_star_metrics
     u = y - (np.stack((star, star)) @ x.T)[0]
-    loss_star = u * (0.3 - (u < 0.0))
 
     holdout = _holdout(env, n)
-    xt, y_pad, loss_pad, size = holdout
+    xt, y_pad, x_mean, rho_pad, min_star_sum, size = holdout
     assert size == n
     assert xt.shape == (21, -(-n // 16) * 16)
-    assert y_pad.shape == loss_pad.shape == (xt.shape[1],)
+    assert y_pad.shape == rho_pad.shape == (xt.shape[1],)
     x_rows, y_rows = _row_major(holdout)
     assert x_rows.tobytes() == x.tobytes()
     assert y_rows.tobytes() == y.tobytes()
-    # Equal as numbers: only the sign of a zero loss may differ.
-    np.testing.assert_array_equal(loss_pad[:n], loss_star)
     assert not xt[:, n:].any() and not y_pad[n:].any()
-    assert not loss_pad[n:].any()
-
-
-_TINY = np.finfo(float).smallest_subnormal
-
-
-@pytest.mark.parametrize("alpha_q", [0.1, 0.5, 0.8, 0.999])
-def test_pinball_helper_equals_the_indicator_form(alpha_q):
-    rng = np.random.default_rng(17)
-    # Zeros, subnormals, the smallest normal, huge and infinite values, of
-    # both signs.
-    special = np.array([0.0, _TINY, 3.0 * _TINY, 1e-310,
-                        np.finfo(float).tiny, 1.0, 1e300, np.inf])
-    u = np.concatenate((special, -special, _TINY * np.arange(-40.0, 41.0),
-                        rng.standard_normal(1000),
-                        1e-300 * rng.standard_normal(1000)))
-    expected = u * (alpha_q - (u < 0.0))
-    got = u.copy()
-    saew.losses._pinball(got, alpha_q, np.empty_like(u))
-    # == as numbers; the bits agree wherever the loss is not zero.
-    assert np.array_equal(got, expected)
-    nonzero = expected != 0.0
-    assert got[nonzero].tobytes() == expected[nonzero].tobytes()
+    # theta_star's losses in the oracle's form; as numbers, the indicator
+    # form's to rounding.
+    assert rho_pad[:n].tobytes() == (0.3 * u - np.minimum(u, 0.0)).tobytes()
+    np.testing.assert_allclose(rho_pad[:n], u * (0.3 - (u < 0.0)),
+                               rtol=1e-15, atol=0.0)
+    assert not rho_pad[n:].any()
+    assert x_mean[0] == 1.0
+    np.testing.assert_allclose(x_mean, x.mean(axis=0), rtol=0.0, atol=1e-15)
+    assert math.isclose(min_star_sum, float(np.minimum(u, 0.0).sum()),
+                        rel_tol=1e-13)
 
 
 def test_exact_risk_of_a_stack_equals_the_formula_per_row():
@@ -644,8 +662,8 @@ def test_true_excess_risk_reuses_cached_star_losses(monkeypatch):
     true_excess_risk(np.zeros(4), env)
     true_excess_risk(np.ones(4), env)
     assert len(built) == 2
-    assert built[0][2] is built[1][2]
-    assert not built[0][2].flags.writeable
+    assert built[0][3] is built[1][3]
+    assert not built[0][3].flags.writeable
 
 
 def test_holdout_is_dropped_with_its_environment():
@@ -653,7 +671,7 @@ def test_holdout_is_dropped_with_its_environment():
     holdout = _holdout(env, 40)
     assert _holdout(env, 40) is holdout
     assert _holdout(env, 24) is not holdout
-    refs = [weakref.ref(env)] + [weakref.ref(array) for array in holdout[:3]]
+    refs = [weakref.ref(env)] + [weakref.ref(array) for array in holdout[:4]]
     del env, holdout
     gc.collect()
     assert all(ref() is None for ref in refs)
