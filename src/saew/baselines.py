@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class RdaState:
         t: number of gradients observed.
         grad_sum: exact running sum of the observed gradients.
         theta: current point (the prediction for the next step).
+        labels: a name for each row, used in error messages.
     """
 
     dimension: int
@@ -48,16 +50,19 @@ class RdaState:
     t: int
     grad_sum: np.ndarray
     theta: np.ndarray
+    labels: list[str] = dataclasses.field(default_factory=list)
 
 
 def rda_init(d: int, gamma: float, rho: float = 0.0,
-             lam: float = 0.0, rows: int | None = None) -> RdaState:
+             lam: float = 0.0, rows: int | None = None,
+             labels: Sequence[str] | None = None) -> RdaState:
     """Fresh state at the origin; with ``rows``, that many learners as the
-    rows of ``(rows, d)`` arrays.
+    rows of ``(rows, d)`` arrays, named by ``labels`` (default
+    ``row 0``, ``row 1``, ...).
 
     Raises:
-        ValueError: if ``d < 1``, ``gamma <= 0``, ``rho < 0``, ``lam < 0``
-            or ``rows < 1``.
+        ValueError: if ``d < 1``, ``gamma <= 0``, ``rho < 0``, ``lam < 0``,
+            ``rows < 1``, or ``labels`` without one entry per row.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -69,9 +74,14 @@ def rda_init(d: int, gamma: float, rho: float = 0.0,
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if rows is not None and rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
+    labels = list(labels or (f"row {r}" for r in range(rows or 0)))
+    if len(labels) != (rows or 0):
+        raise ValueError(f"rows={rows} needs one label per row, "
+                         f"got {len(labels)} labels")
     shape = (d,) if rows is None else (rows, d)
     return RdaState(dimension=d, gamma=gamma, rho=rho, lam=lam, t=0,
-                    grad_sum=np.zeros(shape), theta=np.zeros(shape))
+                    grad_sum=np.zeros(shape), theta=np.zeros(shape),
+                    labels=labels)
 
 
 def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
@@ -85,7 +95,8 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
     single-learner state.  The state is modified in place and returned.
 
     Raises:
-        ValueError: non-finite or wrongly shaped gradient (state unchanged).
+        ValueError: non-finite or wrongly shaped gradient (state unchanged;
+            a state of rows names the first bad row's label and the step).
     """
     gradient = np.asarray(gradient, float)
     if gradient.shape != state.grad_sum.shape:
@@ -94,19 +105,19 @@ def rda_step(state: RdaState, gradient: DenseVector) -> RdaState:
     # The sum of squares is finite only if every entry is; only one that
     # is not (or that overflows) is scanned entry by entry.
     if (not math.isfinite(np.vdot(gradient, gradient))
-            and not np.isfinite(gradient).all()):
-        raise ValueError("gradient must be finite")
+            and not (finite := np.isfinite(gradient).all(axis=-1)).all()):
+        if gradient.ndim == 1:
+            raise ValueError("gradient must be finite")
+        raise ValueError(f"{state.labels[np.argmin(finite)]}: the gradient "
+                         f"at step {state.t + 1} is not finite")
     state.t += 1
-    t = state.t
     state.grad_sum += gradient
-    grad_mean = state.grad_sum / t
-    sqrt_t = math.sqrt(t)
+    grad_mean = state.grad_sum / state.t
+    sqrt_t = math.sqrt(state.t)
     lam_t = state.lam + state.gamma * state.rho / sqrt_t
-    mag = np.abs(grad_mean)
-    shrunk = np.where(mag <= lam_t, 0.0,
-                      -(sqrt_t / state.gamma)
-                      * (grad_mean - lam_t * np.sign(grad_mean)))
-    state.theta = shrunk
+    state.theta = np.where(np.abs(grad_mean) <= lam_t, 0.0,
+                           -(sqrt_t / state.gamma)
+                           * (grad_mean - lam_t * np.sign(grad_mean)))
     return state
 
 

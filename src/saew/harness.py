@@ -553,20 +553,11 @@ def _learner(config: ExperimentConfig, seeds: Sequence[int],
 
     if config.algorithm == "rda":
         rda = rda_init(d, config.rda_gamma, rho=config.rda_rho,
-                       lam=config.rda_lambda, rows=len(seeds))
+                       lam=config.rda_lambda, rows=len(seeds), labels=labels)
 
         def step(t, oracle):
             theta_hat = rda_predict(rda)
-            gradient = oracle(theta_hat)
-            # As in rda_step: only a sum of squares that is not finite
-            # calls for the scan that names the row.
-            if not math.isfinite(np.vdot(gradient, gradient)):
-                finite = np.isfinite(gradient).all(axis=1)
-                if not finite.all():
-                    raise ValueError(
-                        f"{labels[np.flatnonzero(~finite)[0]]}: "
-                        f"the gradient at step {t} is not finite")
-            rda_step(rda, gradient)
+            rda_step(rda, oracle(theta_hat))
             return theta_hat, rda_predict(rda), ()
         return step
 

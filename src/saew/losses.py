@@ -191,9 +191,9 @@ def _stream(seed: int, sample: Callable[
     return {"sample": sample, "draw": draw, "blocks": blocks}
 
 
-def _sparse_unit_l1_parameter(d: int, d0: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """A vector with d0 nonzeros at random positions, rescaled to l1 norm 1."""
+def _sparse_unit_l1_parameter(d: int, d0: int, seed: int) -> np.ndarray:
+    """A vector with d0 nonzeros drawn on generator [seed, 0], l1 norm 1."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     theta = np.zeros(d)
     positions = rng.choice(d, size=d0, replace=False)
     values = rng.standard_normal(d0)
@@ -204,11 +204,13 @@ def _sparse_unit_l1_parameter(d: int, d0: int,
     return theta
 
 
-def _validate_env_args(d: int, d0: int) -> None:
+def _validate_env_args(d: int, d0: int, noise_sd: float) -> None:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not (1 <= d0 <= d):
         raise ValueError(f"d0 must satisfy 1 <= d0 <= d, got d0={d0}, d={d}")
+    if noise_sd < 0.0:
+        raise ValueError("noise_sd must be >= 0")
 
 
 def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
@@ -222,11 +224,8 @@ def make_square_env(d: int, d0: int, noise_sd: float, seed: int) -> Environment:
     Raises:
         ValueError: if ``d0`` is outside ``[1, d]`` or ``noise_sd < 0``.
     """
-    _validate_env_args(d, d0)
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be >= 0")
-    theta_star = _sparse_unit_l1_parameter(
-        d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    _validate_env_args(d, d0, noise_sd)
+    theta_star = _sparse_unit_l1_parameter(d, d0, seed)
 
     def sample(rng_x: np.random.Generator, rng_e: np.random.Generator,
                n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +277,8 @@ def make_truncated_square_env(d: int, d0: int, noise_sd: float, seed: int,
     # does not load scipy.
     from scipy.special import ndtri
 
-    _validate_env_args(d, d0)
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be >= 0")
-    theta_star = _sparse_unit_l1_parameter(
-        d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    _validate_env_args(d, d0, noise_sd)
+    theta_star = _sparse_unit_l1_parameter(d, d0, seed)
     v = truncated_normal_variance(x_bound)
     lo_x = _NORMAL.cdf(-x_bound)
     lo_e = _NORMAL.cdf(-noise_bound_sds)
@@ -331,13 +327,10 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
         ValueError: if ``d0`` is outside ``[1, d]``, ``alpha_q`` outside
             (0, 1), or ``noise_sd < 0``.
     """
-    _validate_env_args(d, d0)
+    _validate_env_args(d, d0, noise_sd)
     if not (0.0 < alpha_q < 1.0):
         raise ValueError("alpha_q must lie in (0, 1)")
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be >= 0")
-    theta_base = _sparse_unit_l1_parameter(
-        d, d0, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    theta_base = _sparse_unit_l1_parameter(d, d0, seed)
     q0 = noise_sd * _NORMAL.inv_cdf(alpha_q)
     theta_star = np.concatenate(([q0], theta_base))
     min_risk = gaussian_pinball_risk(-q0, noise_sd, alpha_q)
@@ -373,17 +366,17 @@ def make_quantile_env(d: int, d0: int, alpha_q: float, noise_sd: float,
 def _holdout(env: Environment, n: int = _HOLDOUT_SIZE) -> tuple:
     """Fixed seeded holdout of a quantile environment for Monte-Carlo risks.
 
-    Returns ``(xt, y, x_mean, rho_star, min_star_sum, n)``: the ``n``
-    samples are the columns of the ``(dimension, n_pad)`` transposed design
-    ``xt`` and of the responses ``y``, zero-padded to a multiple of 16;
-    ``x_mean`` is the mean design row.  At theta_star's residuals ``u*``,
-    ``rho_star`` holds the pinball losses ``alpha_q*u* - min(u*, 0)`` and
-    ``min_star_sum`` the sum of ``min(u*, 0)``, taken as every scored
-    vector's are (see :func:`_scan`), so theta_star scores exactly 0.
-    ``env.sample`` draws the samples on generators ``[seed, 3]`` and
-    ``[seed, 4]``, ``_HOLDOUT_CHUNK`` rows at a time, with the bits of one
-    ``n``-row call.  The arrays are read-only and cached while the
-    environment lives.
+    Returns ``(xyt, x_mean, rho_star, min_star_sum, n)``: the ``n``
+    samples are the columns of ``xyt``, the ``(dimension + 1, n_pad)``
+    transposed design with the responses ``y`` as its last row,
+    zero-padded to a multiple of 16; ``x_mean`` is the mean design row
+    (``y`` left out).  At theta_star's residuals ``u*``, ``rho_star`` holds
+    the pinball losses ``alpha_q*u* - min(u*, 0)`` and ``min_star_sum`` the
+    sum of ``min(u*, 0)``, taken as every scored vector's are (see
+    :func:`_scan`), so theta_star scores exactly 0.  ``env.sample`` draws
+    the samples on generators ``[seed, 3]`` and ``[seed, 4]``,
+    ``_HOLDOUT_CHUNK`` rows at a time, with the bits of one ``n``-row call.
+    The arrays are read-only and cached while the environment lives.
     """
     if env.loss != "pinball":
         raise ValueError(f"no Monte-Carlo holdout for {env.loss!r} loss")
@@ -393,22 +386,21 @@ def _holdout(env: Environment, n: int = _HOLDOUT_SIZE) -> tuple:
     rng_x = np.random.default_rng(np.random.SeedSequence([env.seed, 3]))
     rng_e = np.random.default_rng(np.random.SeedSequence([env.seed, 4]))
     n_pad = -(-n // _HOLDOUT_PAD) * _HOLDOUT_PAD
-    xt = np.zeros((env.dimension, n_pad))
-    y = np.zeros(n_pad)
+    xyt = np.zeros((env.dimension + 1, n_pad))
     for c0 in range(0, n, _HOLDOUT_CHUNK):
         c1 = min(c0 + _HOLDOUT_CHUNK, n)
-        x, y[c0:c1] = env.sample(rng_x, rng_e, c1 - c0)
-        xt[:, c0:c1] = x.T
+        x, xyt[-1, c0:c1] = env.sample(rng_x, rng_e, c1 - c0)
+        xyt[:-1, c0:c1] = x.T
     alpha_q = float(env.config["alpha_q"])
     star = env.theta_star_metrics[None]
     u = np.empty(n_pad)
-    _gemm(star, xt, out=u[None])
-    np.subtract(y, u, out=u)
+    # The row [-theta_star, 1], as _scan takes it.
+    _gemm(np.append(-star, 1.0)[None], xyt, out=u[None])
     rho_star = alpha_q * u - np.minimum(u, 0.0)
-    min_star_sum = _scan(star, np.zeros(1, bool), xt, y, rho_star, alpha_q)[0]
-    entry = cached[n] = (xt, y, xt.sum(axis=1) / n, rho_star,
+    min_star_sum = _scan(star, np.zeros(1, bool), xyt, rho_star, alpha_q)[0]
+    entry = cached[n] = (xyt, xyt[:-1].sum(axis=1) / n, rho_star,
                          float(min_star_sum[0]), n)
-    for array in entry[:4]:
+    for array in entry[:3]:
         array.flags.writeable = False
     return entry
 
@@ -427,31 +419,33 @@ def _gemm(group: np.ndarray, xt: np.ndarray, out: np.ndarray) -> None:
         out[:] = (np.concatenate((group, group)) @ xt)[:1]
 
 
-def _scan(stack: np.ndarray, want_se: np.ndarray, xt: np.ndarray,
-          y: np.ndarray, rho_star: np.ndarray, alpha_q: float
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sums over the holdout columns ``(xt, y)`` per row of ``stack``, at
+def _scan(stack: np.ndarray, want_se: np.ndarray, xyt: np.ndarray,
+          rho_star: np.ndarray, alpha_q: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the holdout columns of ``xyt`` per row of ``stack``, at
     residuals ``u = y - x.theta``: of ``min(u, 0)``, and for the rows that
-    ``want_se`` names (zero elsewhere) of the paired differences
-    ``d = alpha_q*u - min(u, 0) - rho_star`` and of their squares.
+    ``want_se`` names (zero elsewhere) of the squared paired differences
+    ``d = alpha_q*u - min(u, 0) - rho_star``.
 
-    Chunk-major: every tile of rows reads a chunk of columns in turn.  Rows
-    with a standard error are tiled apart from the others, which take three
-    passes over a tile after its product.  A row's sums depend on it alone.
+    Chunk-major: every tile of rows reads a chunk of columns in turn, and
+    one product of the tile's ``[-theta, 1]`` rows with the chunk gives
+    its residuals.  Rows with a standard error are tiled apart from the
+    others, which take two passes over a tile after its product.  A row's
+    sums depend on it alone.
     """
     k = len(stack)
-    min_sums, sums, squares = np.zeros(k), np.zeros(k), np.zeros(k)
+    min_sums, squares = np.zeros(k), np.zeros(k)
+    residual_rows = np.hstack((-stack, np.ones((k, 1))))
     tiles = [(rows[i:i + _TILE_ROWS], se) for se in (False, True)
              for rows in [np.flatnonzero(want_se == se)]
              for i in range(0, len(rows), _TILE_ROWS)]
-    tiles = [(rows, stack[rows], se) for rows, se in tiles]
+    tiles = [(rows, residual_rows[rows], se) for rows, se in tiles]
     buffers = np.empty((2, min(k, _TILE_ROWS) * _TILE_COLUMNS))
-    for c0 in range(0, xt.shape[1], _TILE_COLUMNS):
-        c1 = min(c0 + _TILE_COLUMNS, xt.shape[1])
+    for c0 in range(0, xyt.shape[1], _TILE_COLUMNS):
+        c1 = min(c0 + _TILE_COLUMNS, xyt.shape[1])
         for rows, group, se in tiles:
             u, m = buffers[:, :len(rows) * (c1 - c0)].reshape(2, len(rows), -1)
-            _gemm(group, xt[:, c0:c1], out=u)
-            np.subtract(y[c0:c1], u, out=u)
+            _gemm(group, xyt[:, c0:c1], out=u)
             if not se:
                 np.minimum(u, 0.0, out=u)
                 min_sums[rows] += u.sum(axis=1)
@@ -461,9 +455,8 @@ def _scan(stack: np.ndarray, want_se: np.ndarray, xt: np.ndarray,
             np.multiply(u, alpha_q, out=u)
             np.subtract(u, m, out=u)
             np.subtract(u, rho_star[c0:c1], out=u)
-            sums[rows] += u.sum(axis=1)
             squares[rows] += np.vecdot(u, u)
-    return min_sums, sums, squares
+    return min_sums, squares
 
 
 def true_excess_risk(theta: DenseVector, env: Environment,
@@ -478,10 +471,12 @@ def true_excess_risk(theta: DenseVector, env: Environment,
     and return it.  The quantile environment returns a
     :class:`RiskEstimate` — a paired Monte-Carlo estimate over a fixed
     seeded holdout of 10^5 samples, with its standard error: one pass over
-    the holdout (see :func:`_scan`) scores the whole stack.  A row's value
-    and standard error depend on the row alone, not on the stack it comes
-    in.  ``se_rows``, a boolean mask of shape ``(k,)``, names the rows
-    whose standard error is wanted (default: all); the others get NaN.
+    the holdout (see :func:`_scan`) scores the whole stack.  The paired
+    differences sum to ``n`` times the value, so the standard error needs
+    only the sum of their squares besides it.  A row's value and standard
+    error depend on the row alone, not on the stack it comes in.
+    ``se_rows``, a boolean mask of shape ``(k,)``, names the rows whose
+    standard error is wanted (default: all); the others get NaN.
 
     Raises:
         ValueError: ``theta`` of the wrong shape or with a non-finite
@@ -494,9 +489,10 @@ def true_excess_risk(theta: DenseVector, env: Environment,
                          f"({env.dimension},) or (k, {env.dimension})")
     stack = np.atleast_2d(thetas)
     k = stack.shape[0]
-    if not np.isfinite(stack).all():
-        row = int(np.argmin(np.isfinite(stack).all(axis=1)))
-        raise ValueError(f"theta row {row} has a non-finite entry")
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"theta row {np.argmin(finite)} has a non-finite entry")
     want_se = (np.ones(k, bool) if se_rows is None
                else np.asarray(se_rows, bool))
     if want_se.shape != (k,):
@@ -504,14 +500,14 @@ def true_excess_risk(theta: DenseVector, env: Environment,
                          f"({k},), one entry per row of theta")
     if env.loss == "square":
         return env.excess_risk_exact(thetas)
-    xt, y, x_mean, rho_star, min_star_sum, n = _holdout(env)
+    xyt, x_mean, rho_star, min_star_sum, n = _holdout(env)
     alpha_q = float(env.config["alpha_q"])
-    min_sums, sums, squares = _scan(stack, want_se, xt, y, rho_star, alpha_q)
+    min_sums, squares = _scan(stack, want_se, xyt, rho_star, alpha_q)
     # The pinball loss is alpha_q*u - min(u, 0), and a row's residuals are
     # theta_star's minus x.(theta - theta_star).
     values = ((min_star_sum - min_sums) / n
               - alpha_q * np.vecdot(stack - env.theta_star_metrics, x_mean))
-    var = np.maximum(squares - sums * (sums / n), 0.0) / (n - 1)
+    var = np.maximum(squares - values * (values * n), 0.0) / (n - 1)
     ses = np.where(want_se, np.sqrt(var) / math.sqrt(n), np.nan)
     if thetas.ndim == 1:
         return RiskEstimate(value=float(values[0]), se=float(ses[0]))

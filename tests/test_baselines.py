@@ -132,6 +132,24 @@ def test_step_takes_a_finite_gradient_whose_squares_overflow():
     np.testing.assert_array_equal(state.theta[1], [0.0, -1.0])
 
 
+def test_nonfinite_gradient_row_is_named_by_its_label():
+    state = rda_init(d=2, gamma=1.0, rows=2, labels=["seed 7", "seed 9"])
+    rda_step(state, np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^seed 9: the gradient at step 2 "
+                                         r"is not finite$"):
+        rda_step(state, np.array([[1e200, 1e200], [np.nan, 0.0]]))
+    assert state.t == 1
+    np.testing.assert_array_equal(state.grad_sum, np.ones((2, 2)))
+    unnamed = rda_init(d=2, gamma=1.0, rows=3)
+    with pytest.raises(ValueError, match=r"^row 1: the gradient at step 1 "):
+        rda_step(unnamed, np.array([[0.0, 0.0], [np.inf, 0.0], [np.nan, 0]]))
+    with pytest.raises(ValueError, match=r"^gradient must be finite$"):
+        rda_step(rda_init(d=2, gamma=1.0), np.array([np.inf, 0.0]))
+    for rows, labels in ((2, ["seed 1"]), (None, ["seed 1"])):
+        with pytest.raises(ValueError, match="one label per row"):
+            rda_init(d=2, gamma=1.0, rows=rows, labels=labels)
+
+
 def test_hyperparameter_grid_is_log_decade():
     assert HYPERPARAMETER_GRID[0] == pytest.approx(1e-5)
     assert HYPERPARAMETER_GRID[-1] == pytest.approx(1e3)

@@ -454,8 +454,8 @@ def test_true_excess_risk_deterministic():
 def _row_major(holdout):
     """The holdout as a row-major ``(n, d + 1)`` design and its ``n``
     responses, the layout the oracle's arithmetic is checked against."""
-    xt, y, *_, n = holdout
-    return np.ascontiguousarray(xt[:, :n].T), y[:n]
+    xyt, *_, n = holdout
+    return np.ascontiguousarray(xyt[:-1, :n].T), xyt[-1, :n]
 
 
 def _paired_from_scratch(x, y, env, theta, alpha_q):
@@ -563,28 +563,29 @@ def test_true_excess_risk_of_a_stack_equals_computation_from_scratch(
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5,
                                16385])
 def test_holdout_chunk_products_equal_the_full_product(n):
-    # The oracle's premise: a row of a tile's matrix-matrix product over
-    # the transposed, zero-padded holdout has the bits of that row's
-    # product with the whole row-major holdout as a two-row stack,
-    # whatever the tile's other rows, its size (1 to 32) and where the
-    # chunks end, as long as they start and end on multiples of 16
-    # columns.  A one-row tile is doubled, as the oracle does.
+    # The oracle's premise: a row ``[-theta, 1]`` of a tile's
+    # matrix-matrix product over the transposed, zero-padded holdout
+    # (responses as its last row) has the bits of that row's product with
+    # the whole row-major holdout as a two-row stack, whatever the tile's
+    # other rows, its size (1 to 32) and where the chunks end, as long as
+    # they start and end on multiples of 16 columns.  A one-row tile is
+    # doubled, as the oracle does.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=21)
-    holdout = _holdout(env, n)
-    xt = holdout[0]
-    x, _ = _row_major(holdout)
-    n_pad = xt.shape[1]
+    xyt = _holdout(env, n)[0]
+    xy = np.ascontiguousarray(xyt[:, :n].T)
+    n_pad = xyt.shape[1]
     assert n_pad % 16 == 0 and n <= n_pad < n + 16
     rng = np.random.default_rng(8)
-    stack = env.theta_star_metrics + 0.3 * rng.standard_normal((40, 21))
-    full = [(np.stack((theta, theta)) @ x.T)[0].tobytes() for theta in stack]
+    thetas = env.theta_star_metrics + 0.3 * rng.standard_normal((40, 21))
+    stack = np.hstack((-thetas, np.ones((40, 1))))
+    full = [(np.stack((row, row)) @ xy.T)[0].tobytes() for row in stack]
     for size in range(1, saew.losses._TILE_ROWS + 1):
         for g0 in (0, len(stack) - size):
             group = stack[g0:g0 + size]
             for chunk in (1008, saew.losses._TILE_COLUMNS, n_pad):
                 products = np.empty((size, n_pad))
                 for c0 in range(0, n_pad, chunk):
-                    saew.losses._gemm(group, xt[:, c0:c0 + chunk],
+                    saew.losses._gemm(group, xyt[:, c0:c0 + chunk],
                                       out=products[:, c0:c0 + chunk])
                 for r, row in enumerate(products[:, :n], start=g0):
                     assert row.tobytes() == full[r]
@@ -593,35 +594,72 @@ def test_holdout_chunk_products_equal_the_full_product(n):
 @pytest.mark.parametrize("n", [saew.losses._HOLDOUT_SIZE, 10007, 8193, 5, 1])
 def test_holdout_equals_one_whole_draw(n):
     # The holdout is drawn a chunk of rows at a time, straight into its
-    # transposed, padded layout; it has the bits of one n-row call of the
-    # environment's sample on fresh holdout generators.  At n = 8193 the
-    # last chunk has a single row.
+    # transposed, padded layout, the responses as its last row; it has the
+    # bits of one n-row call of the environment's sample on fresh holdout
+    # generators.  At n = 8193 the last chunk has a single row.
     env = make_quantile_env(d=20, d0=2, alpha_q=0.3, noise_sd=0.2, seed=14)
     x, y = env.sample(
         np.random.default_rng(np.random.SeedSequence([14, 3])),
         np.random.default_rng(np.random.SeedSequence([14, 4])), n)
-    star = env.theta_star_metrics
-    u = y - (np.stack((star, star)) @ x.T)[0]
+    theta_star = env.theta_star_metrics
+    star = np.append(-theta_star, 1.0)
+    u = (np.stack((star, star)) @ np.hstack((x, y[:, None])).T)[0]
 
     holdout = _holdout(env, n)
-    xt, y_pad, x_mean, rho_pad, min_star_sum, size = holdout
+    xyt, x_mean, rho_pad, min_star_sum, size = holdout
     assert size == n
-    assert xt.shape == (21, -(-n // 16) * 16)
-    assert y_pad.shape == rho_pad.shape == (xt.shape[1],)
+    assert xyt.shape == (22, -(-n // 16) * 16)
+    assert rho_pad.shape == (xyt.shape[1],) and x_mean.shape == (21,)
     x_rows, y_rows = _row_major(holdout)
     assert x_rows.tobytes() == x.tobytes()
     assert y_rows.tobytes() == y.tobytes()
-    assert not xt[:, n:].any() and not y_pad[n:].any()
-    # theta_star's losses in the oracle's form; as numbers, the indicator
-    # form's to rounding.
+    assert xyt[-1, :n].tobytes() == y.tobytes()
+    assert not xyt[:, n:].any()
+    # theta_star's losses in the oracle's form, at the residuals of the
+    # product with the responses' row; as numbers, the indicator form's
+    # to rounding, and the losses at y - x.theta_star to a few ulps.
     assert rho_pad[:n].tobytes() == (0.3 * u - np.minimum(u, 0.0)).tobytes()
     np.testing.assert_allclose(rho_pad[:n], u * (0.3 - (u < 0.0)),
                                rtol=1e-15, atol=0.0)
+    u_star = y - (np.stack((theta_star, theta_star)) @ x.T)[0]
+    np.testing.assert_allclose(rho_pad[:n], u_star * (0.3 - (u_star < 0.0)),
+                               rtol=0.0, atol=1e-14)
     assert not rho_pad[n:].any()
+    # The mean design row leaves the responses out.
     assert x_mean[0] == 1.0
     np.testing.assert_allclose(x_mean, x.mean(axis=0), rtol=0.0, atol=1e-15)
     assert math.isclose(min_star_sum, float(np.minimum(u, 0.0).sum()),
                         rel_tol=1e-13)
+
+
+def test_holdout_carries_y_and_se_needs_no_sum_of_differences():
+    # The responses are the last row of the transposed holdout, and a
+    # standard error is taken from the sum of squared paired differences
+    # and the value alone; on a stack that mixes rows with and without a
+    # standard error and theta_star itself, each standard error is the
+    # from-scratch paired one, and theta_star's is exactly 0.
+    env = make_quantile_env(d=10, d0=2, alpha_q=0.8, noise_sd=0.1, seed=5)
+    holdout = _holdout(env)
+    assert len(holdout) == 5
+    xyt, n = holdout[0], holdout[-1]
+    _, y = env.sample(
+        np.random.default_rng(np.random.SeedSequence([5, 3])),
+        np.random.default_rng(np.random.SeedSequence([5, 4])), n)
+    assert xyt[-1, :n].tobytes() == y.tobytes()
+    x, y = _row_major(holdout)
+    rng = np.random.default_rng(12)
+    k = saew.losses._TILE_ROWS + 9
+    scales = np.array([1.0, 1e-2, 1e-4, 1e-6])[np.arange(k) % 4, None]
+    stack = env.theta_star_metrics + scales * rng.standard_normal((k, 11))
+    stack[9] = env.theta_star_metrics
+    want_se = rng.random(k) < 0.5
+    want_se[9] = True
+    est = true_excess_risk(stack, env, se_rows=want_se)
+    assert (est.value[9], est.se[9]) == (0.0, 0.0)
+    for r in np.flatnonzero(want_se):
+        ref_se = _paired_from_scratch(x, y, env, stack[r], 0.8)[1]
+        assert abs(est.se[r] - ref_se) <= 1e-11 * ref_se
+    assert np.isnan(est.se[~want_se]).all()
 
 
 def test_exact_risk_of_a_stack_equals_the_formula_per_row():
@@ -662,8 +700,8 @@ def test_true_excess_risk_reuses_cached_star_losses(monkeypatch):
     true_excess_risk(np.zeros(4), env)
     true_excess_risk(np.ones(4), env)
     assert len(built) == 2
-    assert built[0][3] is built[1][3]
-    assert not built[0][3].flags.writeable
+    assert built[0][2] is built[1][2]
+    assert not built[0][2].flags.writeable
 
 
 def test_holdout_is_dropped_with_its_environment():
@@ -671,7 +709,7 @@ def test_holdout_is_dropped_with_its_environment():
     holdout = _holdout(env, 40)
     assert _holdout(env, 40) is holdout
     assert _holdout(env, 24) is not holdout
-    refs = [weakref.ref(env)] + [weakref.ref(array) for array in holdout[:4]]
+    refs = [weakref.ref(env)] + [weakref.ref(array) for array in holdout[:3]]
     del env, holdout
     gc.collect()
     assert all(ref() is None for ref in refs)
